@@ -349,8 +349,9 @@ def main() -> int:
     report_metrics(
         "annotation_hotpath",
         merge_snapshots([cold.pop("obs_snapshot"), stage.pop("obs_snapshot")]),
+        quick=args.quick,
     )
-    report("annotation_hotpath", format_table(cold, stage))
+    report("annotation_hotpath", format_table(cold, stage), quick=args.quick)
     failed = False
     if not args.quick:
         if cold["speedup_vs_pr4"] < REQUIRED_COLD_SPEEDUP:

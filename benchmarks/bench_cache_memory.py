@@ -203,8 +203,8 @@ def main() -> int:
         stats = run_benchmark(n_pages=40, n_batches=8)
     else:
         stats = run_benchmark(n_pages=200, n_batches=50)
-    report_metrics("cache_memory", stats.pop("obs_snapshot"))
-    report("cache_memory", format_table(stats))
+    report_metrics("cache_memory", stats.pop("obs_snapshot"), quick=args.quick)
+    report("cache_memory", format_table(stats), quick=args.quick)
     if stats["drift"] is not None and abs(stats["drift"]) >= MAX_DRIFT:
         print("ERROR: resident memory grew across warm batches", file=sys.stderr)
         return 1

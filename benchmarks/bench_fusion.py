@@ -268,8 +268,8 @@ def main() -> int:
         streaming = run_streaming(n_sites=24, rows_per_site=20000, n_facts=60000)
         precision = run_precision(n_sites=5, pages_per_site=24)
 
-    report_metrics("fusion", streaming.pop("obs_snapshot"))
-    report("fusion", format_report(streaming, precision))
+    report_metrics("fusion", streaming.pop("obs_snapshot"), quick=args.quick)
+    report("fusion", format_report(streaming, precision), quick=args.quick)
 
     failures = []
     drift = streaming["rss_drift"]

@@ -280,8 +280,8 @@ def main() -> int:
         kr = run_kill_resume(root, n_sites, pages, bench)
         chaos = run_chaos(root, n_sites, pages, bench)
 
-    report("resilience", format_table(kr, chaos, args.quick))
-    report_metrics("resilience", bench.snapshot())
+    report("resilience", format_table(kr, chaos, args.quick), quick=args.quick)
+    report_metrics("resilience", bench.snapshot(), quick=args.quick)
 
     failures = []
     if not kr["rows_equal"]:

@@ -174,8 +174,8 @@ def main() -> int:
         stats = run_benchmark(n_pages=40, n_batches=5)
     else:
         stats = run_benchmark(n_pages=200, n_batches=20)
-    report_metrics("scoring_hotpath", stats.pop("obs_snapshot"))
-    report("scoring_hotpath", format_table(stats))
+    report_metrics("scoring_hotpath", stats.pop("obs_snapshot"), quick=args.quick)
+    report("scoring_hotpath", format_table(stats), quick=args.quick)
     if not args.quick and stats["speedup_vs_pr2"] < REQUIRED_SPEEDUP:
         print(
             f"ERROR: batched engine at {stats['batched_pps']:.0f} pages/s is "

@@ -307,8 +307,8 @@ def main() -> int:
     burst = run_burst(world, bench)
     tax = run_obs_tax(world, n_clients, per_client, bench)
 
-    report("serving", format_table(steady, burst, tax, args.quick))
-    report_metrics("serving", bench.snapshot())
+    report("serving", format_table(steady, burst, tax, args.quick), quick=args.quick)
+    report_metrics("serving", bench.snapshot(), quick=args.quick)
 
     failures = []
     if not steady["all_200"]:

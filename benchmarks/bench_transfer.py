@@ -165,8 +165,8 @@ def main() -> int:
     quick = "--quick" in sys.argv
     stats = run_benchmark(quick, "/tmp/repro_bench_transfer_registry")
     snapshot = stats.pop("obs_snapshot")
-    report("transfer", format_summary(stats))
-    report_metrics("transfer", snapshot)
+    report("transfer", format_summary(stats), quick=quick)
+    report_metrics("transfer", snapshot, quick=quick)
     if not stats["all_tagged_transfer"]:
         print(
             "ERROR: zero-shot extraction yield is empty or rows are not "

@@ -71,8 +71,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# The program's parallelism is run-corpus's process pool and serve-http's
+# threads; a BLAS thread pool per process on top of them only
+# oversubscribes the cores.  BLAS reads these once, when numpy loads, so
+# they are set before the first import below that loads it; a value the
+# user exported still wins.
+for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_blas_threads, "1")
 
 from repro import obs
 from repro.core.config import CeresConfig

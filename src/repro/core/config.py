@@ -4,8 +4,8 @@ Every tunable the paper mentions is gathered here, with defaults set to the
 values given in the text ("We set parameters exactly as the examples given
 in the texts", Section 5.2).  Parameters whose paper values are calibrated
 to web scale (the 0.01%-of-85M-triples stoplist) carry companion
-``*_min_count`` knobs so behaviour is preserved at laptop scale; DESIGN.md
-documents each such adaptation.
+``*_min_count`` knobs so behaviour is preserved at laptop scale; each
+knob's comment documents its adaptation.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """HTML page rendering with node-level ground-truth capture.
 
-The central invariant (see DESIGN.md): every visible string on a generated
+The central invariant (property-tested in
+``tests/test_property_generative.py``): every visible string on a generated
 page is emitted through :meth:`PageBuilder.text`, which records an
 :class:`Emission` — ``(text, predicate-or-None, canonical object)`` — in
 emission order.  Because the parser yields text fields in document order,

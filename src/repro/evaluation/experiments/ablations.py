@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for CERES's design choices.
 
 These go beyond the paper's own tables: each isolates one mechanism of the
 CERES pipeline and measures its contribution on the IMDb testbed, where

@@ -89,10 +89,13 @@ def kb_from_dict(data: dict) -> KnowledgeBase:
 
 
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
-    """Write a KB to a JSON file."""
-    Path(path).write_text(json.dumps(kb_to_dict(kb), indent=1, ensure_ascii=False))
+    """Write a KB to a UTF-8 JSON file (whatever the locale's encoding)."""
+    Path(path).write_text(
+        json.dumps(kb_to_dict(kb), indent=1, ensure_ascii=False),
+        encoding="utf-8",
+    )
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    """Read a KB from a JSON file."""
-    return kb_from_dict(json.loads(Path(path).read_text()))
+    """Read a KB from a UTF-8 JSON file (whatever the locale's encoding)."""
+    return kb_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

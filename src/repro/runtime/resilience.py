@@ -324,10 +324,15 @@ def deadline(seconds: float | None) -> Iterator[Deadline | None]:
 # -- fingerprints ------------------------------------------------------------
 
 
-def config_fingerprint(config_data: dict, threshold: float | None = None) -> str:
-    """Hash of everything that shapes a site's output besides its pages."""
+def config_fingerprint(
+    config_data: dict,
+    threshold: float | None = None,
+    kb_sha256: str | None = None,
+) -> str:
+    """Hash of everything that shapes a site's output besides its pages:
+    the config, the threshold and the seed KB (the sha256 of its file)."""
     payload = json.dumps(
-        {"config": config_data, "threshold": threshold},
+        {"config": config_data, "threshold": threshold, "kb": kb_sha256},
         sort_keys=True, ensure_ascii=False,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -486,7 +491,8 @@ class RunJournal:
                             f"{self.path} was written under a different "
                             f"config (hash {found!r}, current "
                             f"{config_hash!r}) — a resumed run must use "
-                            f"the original config, or start a fresh run-dir"
+                            f"the original config and seed KB, or start a "
+                            f"fresh run-dir"
                         )
                 elif record.get("event") == "site":
                     states[record["site"]] = record

@@ -46,6 +46,8 @@ Failure isolation and resilience (:mod:`repro.runtime.resilience`):
 from __future__ import annotations
 
 import concurrent.futures
+import gc
+import hashlib
 import json
 import traceback
 from dataclasses import dataclass, field
@@ -54,6 +56,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 
 if TYPE_CHECKING:
     from repro.fusion.store import FactStore
+    from repro.kb.store import KnowledgeBase
 
 from repro import obs
 from repro.core.config import CeresConfig
@@ -352,6 +355,50 @@ def extraction_row(extraction, page_url: str, site: str | None = None) -> dict:
 
 # -- worker ----------------------------------------------------------------
 
+#: This process's seed KB for the sites it runs: ``(sha256 of the KB
+#: file's bytes, KB)``.  Parsing the KB costs more than most long-tail
+#: sites' page work, so a process parses it once, not once per site; the
+#: content key re-reads a rewritten file.  Private to the runner —
+#: :func:`~repro.kb.io.load_kb` still hands every other caller a fresh
+#: KB — and cleared when :func:`run_corpus` returns.
+_kb_memo: "tuple[str, KnowledgeBase] | None" = None
+
+
+def _kb_sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _memoized_kb(kb_path: str) -> "KnowledgeBase":
+    """The seed KB at ``kb_path``, parsed at most once per content.
+
+    A fresh KB is frozen out of the garbage collector's reach
+    (``gc.freeze``): it lives as long as the process's sites do, and
+    every collection would otherwise walk its tracked objects (~43K for
+    a 1.5 MB KB).
+    """
+    from repro.kb import io as kb_io
+
+    global _kb_memo
+    data = Path(kb_path).read_bytes()
+    digest = _kb_sha256(data)
+    memo = _kb_memo
+    if memo is None or memo[0] != digest:
+        memo = _kb_memo = None  # release the old KB before parsing its successor
+        memo = _kb_memo = (
+            digest, kb_io.kb_from_dict(json.loads(data.decode("utf-8")))
+        )
+        gc.freeze()
+    return memo[1]
+
+
+def _clear_kb_memo() -> None:
+    """Drop the memoized KB and hand what froze with it back to the
+    collector."""
+    global _kb_memo
+    if _kb_memo is not None:
+        _kb_memo = None
+        gc.unfreeze()
+
 
 def _attempt_site(
     report: SiteReport,
@@ -375,11 +422,10 @@ def _attempt_site(
     fatal), and the pipeline over the surviving pages gets it again.
     """
     from repro.core.pipeline import CeresPipeline
-    from repro.kb.io import load_kb
 
     fault_point("site.run", site=site)
     config = config_from_dict(config_data)
-    kb = load_kb(kb_path)
+    kb = _memoized_kb(kb_path)
     report.n_quarantined_pages = 0
     report.quarantined_pages = []
     documents, quarantined = _load_documents(
@@ -453,9 +499,11 @@ def _run_site(
     """Process one site with retries and quarantine; never raises.
 
     Runs in a pool worker, so every argument and the return value are
-    plain picklable data.  The KB is (re)loaded from disk per site — each
-    worker process needs its own copy anyway, and sharing via pickle
-    would ship the whole KB with every task.
+    plain picklable data.  The KB travels as a path, not a pickle (which
+    would ship the whole KB with every task): each process parses it
+    once and keeps it for its later sites (:func:`_memoized_kb`), which
+    works under every pool start method, unlike a KB inherited through
+    fork.
 
     Attempt schedule: up to ``max_attempts`` full-batch attempts, each
     under ``site_timeout`` wall-clock, retrying **transient** and
@@ -535,6 +583,11 @@ def _run_site(
         report.metrics = site_metrics.snapshot()
         if trace:
             report.spans = site_tracer.export()
+    # The site's DOM trees are cyclic (``ElementNode.parent``) and old
+    # enough to sit in the oldest generation: free them before the next
+    # site rather than whenever a full collection next runs.  Cheap,
+    # because the memoized KB is frozen out of the walk.
+    gc.collect()
     return {"report": report.__dict__, "rows": rows}
 
 
@@ -564,7 +617,7 @@ def run_corpus(
     Args:
         corpus: directory-of-directories or JSONL manifest
             (see :func:`discover_corpus`).
-        kb_path: seed KB JSON, loaded independently by each worker.
+        kb_path: seed KB JSON, parsed once by each worker process.
         registry_root: where artifacts land (None to skip persisting).
         config: pipeline config applied to every site.
         threshold: extraction confidence override (default: config's).
@@ -639,7 +692,10 @@ def run_corpus(
     if run_dir is not None:
         journal = resilience.RunJournal(run_dir)
         states = journal.open(
-            config_hash=resilience.config_fingerprint(config_data, threshold),
+            config_hash=resilience.config_fingerprint(
+                config_data, threshold,
+                kb_sha256=_kb_sha256(Path(kb_path).read_bytes()),
+            ),
             resume=resume,
         )
         for spec in specs:
@@ -826,6 +882,7 @@ def run_corpus(
                 reports.append(handle(payload))
         return finish(reports)
     finally:
+        _clear_kb_memo()
         if journal is not None:
             journal.close()
         if fused_sink is not None:

@@ -7,7 +7,7 @@ Two measures drive CERES:
   far apart two mention locations are structurally.  The implementation is
   generic over sequences, so callers may pass strings (character-level, as
   in the paper) or XPath step tuples (token-level, a 50x cheaper measure
-  with the same ordering behaviour under index drift; see DESIGN.md).
+  with the same ordering behaviour under index drift).
 
 * **Jaccard similarity** between entity sets (Section 3.1.1, Equation 1) —
   the topic-candidate score.

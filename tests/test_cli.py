@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -550,3 +554,52 @@ class TestObservabilityFlags:
         assert counters["service.requests"] == 1
         assert counters["service.pages"] == 16
         assert "cache.resident_sites.hits" in counters
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="counts threads via /proc"
+)
+class TestBlasThreadDefaults:
+    """``python -m repro`` runs one BLAS thread per process unless the
+    user set a count: its parallelism is the worker pool and the server's
+    threads, and a BLAS pool per process on top oversubscribes the cores."""
+
+    PROBE = (
+        "import json, os\n"
+        "import repro.__main__\n"
+        "import numpy\n"
+        "numpy.ones((64, 64)) @ numpy.ones((64, 64))\n"
+        "print(json.dumps({\n"
+        "    'env': {name: os.environ.get(name) for name in %r},\n"
+        "    'threads': len(os.listdir('/proc/self/task')),\n"
+        "}))\n"
+    ) % (BLAS_THREAD_VARS,)
+
+    def _probe(self, **overrides) -> dict:
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env.update(overrides)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_unset_counts_default_to_one_thread(self):
+        probe = self._probe()
+        assert probe["env"] == {name: "1" for name in BLAS_THREAD_VARS}
+        assert probe["threads"] == 1
+
+    def test_user_count_wins(self):
+        probe = self._probe(OPENBLAS_NUM_THREADS="2")
+        assert probe["env"] == {
+            "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        if (os.cpu_count() or 1) >= 2:
+            # OpenBLAS caps its pool at the core count.
+            assert probe["threads"] > 1

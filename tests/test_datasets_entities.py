@@ -60,7 +60,7 @@ class TestMovieUniverse:
             assert film.principal_cast_ids
 
     def test_directors_direct_many(self):
-        """Role pools concentrate credits (see DESIGN.md)."""
+        """Role pools concentrate credits (see ``repro.datasets.entities``)."""
         universe = MovieUniverse(seed=0, n_people=200, n_films=100)
         from collections import Counter
         credits = Counter()

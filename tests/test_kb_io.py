@@ -1,5 +1,10 @@
 """Tests for repro.kb.io (KB JSON serialization)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.kb.io import kb_from_dict, kb_to_dict, load_kb, save_kb
@@ -64,3 +69,36 @@ class TestRoundTrip:
     def test_empty_kb(self):
         restored = kb_from_dict({"ontology": [], "entities": [], "triples": []})
         assert len(restored) == 0
+
+
+class TestEncoding:
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        """KB files are UTF-8 whatever the locale: the corpus is
+        multilingual, and an ASCII locale used to fail both ways."""
+        env = dict(os.environ)
+        env.update(
+            PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+            PYTHONCOERCECLOCALE="0",
+            LC_ALL="C",
+        )
+        env.pop("PYTHONUTF8", None)
+        probe = (
+            "import locale, sys\n"
+            "from repro.kb.io import load_kb, save_kb\n"
+            "from repro.kb.ontology import Ontology\n"
+            "from repro.kb.store import KnowledgeBase\n"
+            "from repro.kb.triple import Entity\n"
+            "kb = KnowledgeBase(Ontology([]))\n"
+            "kb.add_entity(Entity('f1', 'Am\\u00e9lie', 'film'))\n"
+            "save_kb(kb, sys.argv[1])\n"
+            "assert load_kb(sys.argv[1]).entity('f1').name == 'Am\\u00e9lie'\n"
+            "print(locale.getpreferredencoding(False))\n"
+        )
+        path = tmp_path / "kb.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", probe, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "utf" not in proc.stdout.lower()  # the locale really is ASCII
+        assert "Amélie".encode("utf-8") in path.read_bytes()

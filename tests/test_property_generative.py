@@ -4,7 +4,7 @@ Hypothesis builds random page structures through the PageBuilder and
 checks the system-level invariants that everything else relies on:
 
 * renderer emissions align 1:1 with parser text fields (the ground-truth
-  alignment DESIGN.md calls the central invariant);
+  alignment ``repro.datasets.render`` calls its central invariant);
 * every node's XPath evaluates back to that node;
 * serialize → parse is a fixed point;
 * page signatures are invariant under list-length changes.

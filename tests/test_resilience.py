@@ -378,6 +378,9 @@ class TestRunJournal:
         assert config_fingerprint({"a": 1}, 0.5) == base
         assert config_fingerprint({"a": 1}, 0.6) != base
         assert config_fingerprint({"a": 2}, 0.5) != base
+        with_kb = config_fingerprint({"a": 1}, 0.5, kb_sha256="0" * 64)
+        assert with_kb != base
+        assert config_fingerprint({"a": 1}, 0.5, kb_sha256="1" * 64) != with_kb
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +727,22 @@ class TestResumeEquivalence:
                 config=CeresConfig(), threshold=0.9,
                 run_dir=run_dir, resume=True,
             )
+
+    def test_resume_with_edited_kb_refused(self, corpus_on_disk, tmp_path):
+        """Rows extracted under the old seed KB must never be replayed
+        into a run under a new one."""
+        import shutil
+
+        kb_path, corpus_dir, _ = corpus_on_disk
+        private_kb = tmp_path / "kb.json"
+        shutil.copyfile(kb_path, private_kb)
+        run_dir = tmp_path / "run"
+        _journaled_run(corpus_dir, private_kb, run_dir)
+        data = json.loads(private_kb.read_text(encoding="utf-8"))
+        data["triples"] = data["triples"][:-1]
+        private_kb.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(JournalError, match="different\\s+config"):
+            _journaled_run(corpus_dir, private_kb, run_dir, resume=True)
 
     def test_resume_requires_run_dir(self, corpus_on_disk):
         kb_path, corpus_dir, _ = corpus_on_disk

@@ -1,13 +1,16 @@
 """Corpus discovery and the parallel runner's failure isolation."""
 
+import gc
 import io
 import json
+import shutil
 
 import pytest
 
 from repro.core.config import CeresConfig
 from repro.kb.io import save_kb
 from repro.datasets import generate_swde, seed_kb_for
+from repro.kb import io as kb_io
 from repro.runtime import (
     ModelRegistry,
     SiteSpec,
@@ -15,6 +18,7 @@ from repro.runtime import (
     load_site_documents,
     run_corpus,
 )
+from repro.runtime import runner
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +254,89 @@ class TestRunCorpus:
         assert len(served) == len(runner_rows)
         report = next(r for r in reports if r.site == site)
         assert report.n_extractions == len(served)
+
+
+def _rows_by_site(corpus_dir, kb_path, **kwargs) -> dict[str, list[str]]:
+    """One inline run's output rows, grouped by site."""
+    output = io.StringIO()
+    run_corpus(corpus_dir, kb_path, None, max_workers=1, output=output, **kwargs)
+    rows: dict[str, list[str]] = {}
+    for line in output.getvalue().splitlines():
+        rows.setdefault(json.loads(line)["site"], []).append(line)
+    return rows
+
+
+class TestSeedKBMemo:
+    """A process parses the seed KB once for all its sites, re-reads it
+    when the file's content changes, and keeps nothing past the run."""
+
+    @pytest.fixture
+    def kb_parses(self, monkeypatch):
+        calls = []
+        parse = kb_io.kb_from_dict
+
+        def counting(data):
+            calls.append(1)
+            return parse(data)
+
+        monkeypatch.setattr(kb_io, "kb_from_dict", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def kbs(self, corpus_on_disk, tmp_path_factory):
+        """The seed KB, a thinned copy (every other fact dropped), and the
+        rows an inline run gives under each."""
+        _, kb_path, corpus_dir, _, _ = corpus_on_disk
+        data = json.loads(kb_path.read_text(encoding="utf-8"))
+        data["triples"] = data["triples"][::2]
+        thinned = tmp_path_factory.mktemp("thinned-kb") / "kb.json"
+        thinned.write_text(json.dumps(data), encoding="utf-8")
+        full_rows = _rows_by_site(corpus_dir, kb_path)
+        thinned_rows = _rows_by_site(corpus_dir, thinned)
+        assert full_rows != thinned_rows  # the two KBs are told apart
+        return kb_path, thinned, full_rows, thinned_rows
+
+    def test_inline_run_parses_the_kb_once(self, corpus_on_disk, kb_parses):
+        _, kb_path, corpus_dir, _, site_names = corpus_on_disk
+        reports = run_corpus(corpus_dir, kb_path, None, max_workers=1)
+        assert len(reports) == len(site_names) > 1
+        assert all(report.ok for report in reports)
+        assert len(kb_parses) == 1
+        # Nothing outlives the run: not the KB, not the gc freeze.
+        assert runner._kb_memo is None
+        assert gc.get_freeze_count() == 0
+
+    def test_kb_rewritten_between_runs_is_reread(
+        self, corpus_on_disk, kbs, tmp_path
+    ):
+        _, _, corpus_dir, _, _ = corpus_on_disk
+        full, thinned, full_rows, thinned_rows = kbs
+        path = tmp_path / "kb.json"
+        shutil.copyfile(full, path)
+        assert _rows_by_site(corpus_dir, path) == full_rows
+        shutil.copyfile(thinned, path)
+        assert _rows_by_site(corpus_dir, path) == thinned_rows
+
+    def test_kb_rewritten_mid_run_is_reread(
+        self, corpus_on_disk, kbs, tmp_path, kb_parses
+    ):
+        """The memo is keyed by content, not by path: sites that start
+        after the file changed see the new KB."""
+        _, _, corpus_dir, _, site_names = corpus_on_disk
+        full, thinned, full_rows, thinned_rows = kbs
+        path = tmp_path / "kb.json"
+        shutil.copyfile(full, path)
+        rows = _rows_by_site(
+            corpus_dir, path,
+            # Inline sites run in name order; the log line follows each.
+            log=lambda line: shutil.copyfile(thinned, path),
+        )
+        first, *rest = site_names
+        assert rows[first] == full_rows[first]
+        assert {site: rows[site] for site in rest} == {
+            site: thinned_rows[site] for site in rest
+        }
+        assert len(kb_parses) == 2
 
 
 class TestRunCorpusFusion:
