@@ -5,7 +5,7 @@ Before this cache layer, every hot-path cache was keyed by
 :class:`~repro.runtime.service.ExtractionService` grew resident memory
 on every batch, and the per-batch ``clear_page_caches`` workaround paid
 a correctness tax (a GC-recycled id could resurface another page's
-state).  Now per-page state lives in bounded LRUs keyed by
+state).  Now per-page state is bounded and keyed by
 ``Document.doc_id``, so memory must stay *flat* across arbitrarily many
 warm batches.
 
@@ -145,9 +145,6 @@ def run_benchmark(
     if baseline_rss and final_rss:
         drift = (final_rss - baseline_rss) / baseline_rss
 
-    stats = service.cache_stats()
-    site_stats = stats["per_site"].get(site.name, {})
-    registry_stats = site_stats.get("feature_registry", {})
     return {
         "n_pages": n_pages,
         "n_batches": n_batches,
@@ -155,9 +152,6 @@ def run_benchmark(
         "final_rss_mb": final_rss / 2**20 if final_rss else None,
         "drift": drift,
         "warm_pps": pages_served / serve_seconds if serve_seconds else 0.0,
-        "registry_size": registry_stats.get("size"),
-        "registry_capacity": registry_stats.get("capacity"),
-        "registry_evictions": registry_stats.get("evictions"),
         "output_stable": True,  # run_batch raises otherwise
         "obs_snapshot": bench.snapshot(),
     }
@@ -184,9 +178,6 @@ def format_table(stats: dict) -> str:
         else "  final rss              (unavailable)",
         drift_line,
         f"  warm throughput        {stats['warm_pps']:8.1f} pages/s",
-        f"  feature registries     {stats['registry_size']} resident / "
-        f"{stats['registry_capacity']} capacity "
-        f"({stats['registry_evictions']} evictions)",
         "  output vs one-shot     byte-identical",
     ]
     return "\n".join(lines)

@@ -52,7 +52,7 @@ on disk)::
     python -m repro fuse --input triples.jsonl --kb seed_kb.json \
         --output facts.jsonl --min-sites 2
 
-Cache observability (hit/miss/eviction counters of the serving LRUs)::
+Cache observability (hit/miss/eviction counters of the site-residency LRU)::
 
     python -m repro stats --registry ./models --pages ./site_html
 
@@ -767,6 +767,14 @@ def _cmd_fuse(args) -> int:
 
     if args.min_sites < 1:
         raise SystemExit("--min-sites must be >= 1")
+    try:
+        store = FactStore(
+            n_shards=args.shards,
+            max_resident_facts=args.max_resident_facts,
+            spill_dir=args.spill_dir,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
     tally = None
     if args.kb is not None:
         tally = AgreementTally(load_kb(args.kb))
@@ -779,11 +787,7 @@ def _cmd_fuse(args) -> int:
     seen_sites: set[str] = set()
     # The with-block guarantees spill files are removed even when a bad
     # row aborts the run before finalize().
-    with FactStore(
-        n_shards=args.shards,
-        max_resident_facts=args.max_resident_facts,
-        spill_dir=args.spill_dir,
-    ) as store:
+    with store:
         try:
             for line_no, line in enumerate(source, start=1):
                 line = line.strip()
@@ -897,6 +901,8 @@ def _cmd_run_corpus(args) -> int:
         raise SystemExit("--resume requires --run-dir")
     if args.max_attempts < 1:
         raise SystemExit("--max-attempts must be >= 1")
+    if args.retry_backoff < 0:
+        raise SystemExit("--retry-backoff must be >= 0 seconds")
     if args.site_timeout is not None and args.site_timeout <= 0:
         raise SystemExit("--site-timeout must be > 0 seconds")
     # Validate the corpus before _open_sink truncates a prior output file.

@@ -25,11 +25,11 @@ class IdCacheKeyRule(Rule):
     id = "id-cache-key"
     summary = "page caches must not be keyed by id(document)"
     rationale = (
-        "Page-scoped caching must go through repro.runtime.cache keyed by "
-        "Document.doc_id — id() keys leak and can serve another page's "
-        "state after the interpreter recycles an object id."
+        "Page-scoped caches must be keyed by Document.doc_id — id() keys "
+        "leak and can serve another page's state after the interpreter "
+        "recycles an object id."
     )
-    fix_hint = "key by Document.doc_id via repro.runtime.cache"
+    fix_hint = "key by Document.doc_id"
 
     _PAGE_NAMES = frozenset({"document", "doc", "page"})
 

@@ -97,12 +97,6 @@ class CeresConfig:
     #: re-reads each page's matches several times, so this should exceed
     #: the largest cluster processed at once.
     page_match_cache_size: int = 512
-    #: Max per-page frequent-string registries kept resident per
-    #: :class:`~repro.core.extraction.features.NodeFeatureExtractor`.
-    feature_registry_cache_size: int = 512
-    #: Max ``page_signature → cluster`` assignments memoized per
-    #: :class:`~repro.core.extraction.extractor.ClusterExtractorPool`.
-    assignment_cache_size: int = 4096
     #: Max sites kept resident (models + extractor pools) by a single
     #: :class:`~repro.runtime.service.ExtractionService`; least recently
     #: served sites are evicted and transparently reloaded on next use.

@@ -27,7 +27,6 @@ from repro.core.extraction.trainer import CeresModel
 from repro.dom.node import TextNode
 from repro.dom.parser import Document
 from repro.kb.ontology import NAME_PREDICATE, OTHER_LABEL
-from repro.runtime.cache import CacheStats, LRUCache
 from repro.text.distance import jaccard
 
 __all__ = ["Extraction", "PageCandidates", "CeresExtractor", "ClusterExtractorPool"]
@@ -190,10 +189,10 @@ class ClusterExtractorPool:
 
     Extraction assigns each page to the cluster whose leader signature is
     most Jaccard-similar and scores it with that cluster's model.  The
-    pool builds every extractor once up front (instead of one per page)
-    and memoizes the ``page_signature → cluster`` assignment, so repeated
-    batches over same-template pages skip the similarity scan entirely.
-    Both :meth:`repro.core.pipeline.CeresPipeline.extract` and the serving
+    pool builds every extractor once up front (instead of one per page);
+    assignment is a scan over the few cluster leaders, far cheaper than
+    parsing the page, and a single-cluster pool skips it.  Both
+    :meth:`repro.core.pipeline.CeresPipeline.extract` and the serving
     fast path (``repro.runtime.service.ExtractionService``) share it.
     """
 
@@ -210,9 +209,6 @@ class ClusterExtractorPool:
         self._extractors: list[CeresExtractor] = [
             CeresExtractor(model, self.config) for _, model in clusters
         ]
-        self._assignments: LRUCache[frozenset[str], int] = LRUCache(
-            self.config.assignment_cache_size, name="cluster_assignment"
-        )
 
     def __len__(self) -> int:
         return len(self._extractors)
@@ -225,15 +221,12 @@ class ClusterExtractorPool:
         return list(self._extractors)
 
     def assign(self, signature: frozenset[str]) -> int | None:
-        """Index of the most similar cluster (memoized), or None if empty."""
+        """Index of the most similar cluster, or None if empty."""
         if not self._extractors:
             return None
-        return self._assignments.get_or_create(
-            signature,
-            lambda: max(
-                range(len(self._signatures)),
-                key=lambda index: jaccard(signature, self._signatures[index]),
-            ),
+        return max(
+            range(len(self._signatures)),
+            key=lambda index: jaccard(signature, self._signatures[index]),
         )
 
     def extractor_for(self, document: Document) -> CeresExtractor | None:
@@ -293,23 +286,3 @@ class ClusterExtractorPool:
         for page in self.candidates(documents):
             results.extend(page.extractions(threshold))
         return results
-
-    def cache_stats(self) -> dict[str, CacheStats]:
-        """Counters for this pool's caches.
-
-        ``feature_registry`` merges the per-page registry caches of every
-        cluster's model; ``cluster_assignment`` is the signature memo.
-        Per-page state is evicted automatically (bounded LRUs keyed by
-        ``Document.doc_id``) — no between-batch clearing is needed.
-        """
-        registry_stats = [
-            extractor.model.feature_extractor.cache_stats()
-            for extractor in self._extractors
-        ]
-        merged = CacheStats("feature_registry", 0, 0, 0, 0, 0)
-        for stats in registry_stats:
-            merged = merged.merged(stats, name="feature_registry")
-        return {
-            "feature_registry": merged,
-            "cluster_assignment": self._assignments.stats(),
-        }

@@ -28,10 +28,11 @@ registers itself on its first ``text_feature_height`` ancestors with the
 downward tag path; a classified node then only inspects its own first
 ``text_feature_height`` ancestors.
 
-Registries live in a bounded LRU keyed by ``Document.doc_id``
-(``feature_registry_cache_size`` in the config), so long-lived serving
-processes neither leak registries across batches nor risk a recycled
-``id()`` handing one page's registry to another.
+Each extractor keeps only the last page's registry, keyed by
+``Document.doc_id``: callers read one page's nodes in a row, a
+long-lived process retains one registry at most, and — unlike an
+``id()`` — a ``doc_id`` is never recycled, so one page's registry is
+never handed to another.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from collections import Counter, defaultdict
 from repro.core.config import CeresConfig
 from repro.dom.node import ElementNode, TextNode
 from repro.dom.parser import Document
-from repro.runtime.cache import CacheStats, LRUCache
 
 __all__ = ["NodeFeatureExtractor", "FeatureNameBatcher"]
 
@@ -59,8 +59,9 @@ class NodeFeatureExtractor:
     def __init__(self, config: CeresConfig | None = None) -> None:
         self.config = config or CeresConfig()
         self.frequent_strings: set[str] = set()
-        self._page_registry: LRUCache[int, dict[int, list[tuple[str, str]]]] = (
-            LRUCache(self.config.feature_registry_cache_size, name="feature_registry")
+        #: ``(doc_id, registry)`` of the last page seen by :meth:`registry_for`.
+        self._last_registry: tuple[int | None, dict[int, list[tuple[str, str]]]] = (
+            None, {}
         )
 
     # -- fitting -----------------------------------------------------------
@@ -103,12 +104,13 @@ class NodeFeatureExtractor:
 
         Each frequent-string occurrence registers itself on its enclosing
         element and ``text_feature_height`` further ancestors; the downward
-        path records the tag chain from the ancestor to the string.  Both
-        the legacy per-node path and the batched scorer
-        (:mod:`repro.core.extraction.scoring`) read this registry.
+        path records the tag chain from the ancestor to the string.  The
+        per-node path and :class:`FeatureNameBatcher` read this registry
+        (the compiled scorer builds its own equivalent).  The last page's
+        registry is kept, so one page's nodes build it once.
         """
-        registry = self._page_registry.get(document.doc_id)
-        if registry is not None:
+        doc_id, registry = self._last_registry
+        if doc_id == document.doc_id:
             return registry
         registry = defaultdict(list)
         height = self.config.text_feature_height
@@ -125,7 +127,7 @@ class NodeFeatureExtractor:
                 element = element.parent
                 level += 1
         registry = dict(registry)
-        self._page_registry.put(document.doc_id, registry)
+        self._last_registry = (document.doc_id, registry)
         return registry
 
     # -- feature extraction --------------------------------------------------
@@ -191,19 +193,6 @@ class NodeFeatureExtractor:
                 result[f"site:t|{text}|u{ups}|{down_path}"] = 1.0
             element = element.parent
             ups += 1
-
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the per-page registry cache."""
-        return self._page_registry.stats()
-
-    def clear_page_cache(self) -> None:
-        """Drop per-page registries immediately.
-
-        Eviction is automatic (bounded LRU keyed by ``doc_id``); this
-        remains for callers that want to release page memory eagerly,
-        e.g. right before serializing a model.
-        """
-        self._page_registry.clear()
 
 
 class FeatureNameBatcher:

@@ -216,18 +216,6 @@ class FeatureVectorizer:
             counts[namespace] = counts.get(namespace, 0) + 1
         return counts
 
-    def columns_for_namespace(self, namespace: str) -> np.ndarray:
-        """Sorted column indices of the features in ``namespace``."""
-        prefix = namespace + NAMESPACE_SEPARATOR
-        return np.fromiter(
-            sorted(
-                column
-                for name, column in self.vocabulary_.items()
-                if name.startswith(prefix)
-            ),
-            dtype=np.int64,
-        )
-
     def restrict(self, namespace: str) -> FeatureVectorizer:
         """A new fitted vectorizer over one namespace of this vocabulary.
 

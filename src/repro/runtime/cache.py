@@ -10,17 +10,17 @@ CPython id recycled after garbage collection could silently return a
   values; callers key page-scoped entries by ``Document.doc_id`` (a
   process-unique serial assigned at parse time, never recycled).
 * :class:`CacheStats` — an immutable snapshot of one cache's counters,
-  aggregatable across caches and JSON-friendly via :meth:`to_dict`.
+  JSON-friendly via :meth:`to_dict`.
 
 The module is intentionally dependency-free (stdlib only) so the low
-layers (``repro.kb.matcher``, ``repro.core.extraction.features``) can
+layers (``repro.kb.matcher``, ``repro.fusion.reliability``) can
 import it without dragging in the runtime stack.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Generic, Hashable, TypeVar
 
@@ -34,7 +34,7 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Point-in-time counters for one (or a merged group of) cache(s)."""
+    """Point-in-time counters for one cache."""
 
     name: str
     capacity: int
@@ -60,17 +60,6 @@ class CacheStats:
             "evictions": self.evictions,
             "hit_rate": round(self.hit_rate, 4),
         }
-
-    def merged(self, other: CacheStats, name: str | None = None) -> CacheStats:
-        """Combine counters of two caches (e.g. one per cluster extractor)."""
-        return CacheStats(
-            name=name if name is not None else self.name,
-            capacity=self.capacity + other.capacity,
-            size=self.size + other.size,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
 
 
 class LRUCache(Generic[K, V]):
@@ -133,18 +122,6 @@ class LRUCache(Generic[K, V]):
             self._entries.popitem(last=False)
             self._evictions += 1
 
-    def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
-        """Return the cached value, computing and caching it on a miss."""
-        value = self._entries.get(key, _MISSING)
-        if value is not _MISSING:
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
-        self._misses += 1
-        created = factory()
-        self.put(key, created)
-        return created
-
     def peek(self, key: K, default: V | None = None) -> V | None:
         """Read a value without touching recency or counters (stats paths)."""
         return self._entries.get(key, default)
@@ -156,15 +133,6 @@ class LRUCache(Generic[K, V]):
     def clear(self) -> None:
         """Drop every entry; counters are preserved (stats keep history)."""
         self._entries.clear()
-
-    def resize(self, capacity: int) -> None:
-        """Change capacity, evicting LRU entries if shrinking below size."""
-        if capacity < 1:
-            raise ValueError(f"LRU capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self._evictions += 1
 
     def keys(self) -> list[K]:
         """Keys from least to most recently used."""

@@ -166,20 +166,8 @@ class SiteReport:
         return (
             f"site={self.site} ok pages={self.n_pages} "
             f"clusters={self.n_clusters} extractions={self.n_extractions}"
-            f"{skipped}{kb_note}{resilience_note}{self._cache_note()} "
-            f"({self.seconds:.1f}s)"
+            f"{skipped}{kb_note}{resilience_note} ({self.seconds:.1f}s)"
         )
-
-    def _cache_note(self) -> str:
-        """Feature-registry hit rate from the worker metrics snapshot —
-        the counter that used to be computed in the worker and thrown
-        away with the process."""
-        counters = (self.metrics or {}).get("counters", {})
-        hits = counters.get("cache.feature_registry.hits", 0)
-        misses = counters.get("cache.feature_registry.misses", 0)
-        if not hits and not misses:
-            return ""
-        return f" feat_cache={hits / (hits + misses):.0%}"
 
 
 def _journal_view(report: SiteReport) -> dict:
@@ -655,7 +643,8 @@ def run_corpus(
             limit); enforced per attempt.
         max_attempts: full-batch attempts per site (transient failures
             retry with backoff; permanent ones don't).
-        retry_backoff: base of the exponential backoff window, seconds.
+        retry_backoff: base of the exponential backoff window, seconds
+            (>= 0).
 
     Reports come back with resumed sites first (sorted by name), then
     executed sites in completion order; failed sites carry their error
@@ -669,9 +658,11 @@ def run_corpus(
         raise ValueError("resume=True requires run_dir")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if retry_backoff < 0:
+        raise ValueError("retry_backoff must be >= 0")
     # Workers always collect metrics (the snapshot is small and carries
-    # cache/skip telemetry into the summaries); spans only when the
-    # parent actually traces — they are bulkier to pickle.
+    # cache/skip telemetry to the parent); spans only when the parent
+    # actually traces — they are bulkier to pickle.
     trace = obs.tracing_enabled()
 
     store = None

@@ -3,9 +3,8 @@
 :class:`ExtractionService` fronts a :class:`~repro.runtime.registry.ModelRegistry`
 for read traffic.  Per site it loads the artifact once, builds one
 :class:`~repro.core.extraction.extractor.CeresExtractor` per modeled
-cluster (via the shared :class:`ClusterExtractorPool`), and memoizes the
-``page_signature → cluster`` assignment — so a warm ``extract_pages()``
-call groups the batch by cluster and runs the batched,
+cluster (via the shared :class:`ClusterExtractorPool`) — so a warm
+``extract_pages()`` call groups the batch by cluster and runs the batched,
 vocabulary-compiled scoring engine once per cluster model (one CSR
 matrix over every node of every page, one matmul; see
 :mod:`repro.core.extraction.scoring`).  The cold pipeline re-runs
@@ -14,10 +13,11 @@ every call.
 
 Memory is bounded on both axes of a long-lived server:
 
-* **per page** — feature registries and cluster assignments live in
-  bounded LRUs keyed by ``Document.doc_id`` (see
-  :mod:`repro.runtime.cache`), so nothing accumulates across batches and
-  a recycled object id can never resurface another page's state;
+* **per page** — page-scoped state is keyed by ``Document.doc_id`` and
+  bounded (the scorer's caches converge per template position; a
+  feature extractor keeps one page's rows at most), so nothing
+  accumulates across batches and a recycled object id can never
+  resurface another page's state;
 * **per site** — at most ``max_resident_sites`` site models (and their
   extractor pools) stay loaded; the least recently *served* site is
   evicted and transparently reloaded from the registry on next use.
@@ -31,9 +31,8 @@ is installed (usually a
 model is trained off-thread and atomically swapped in.  Site residency
 is guarded by a lock so that swap is safe against concurrent serving.
 
-:meth:`ExtractionService.cache_stats` exposes every counter; the CLI
-(``python -m repro stats``) and the memory benchmark
-(``benchmarks/bench_cache_memory.py``) read it.
+:meth:`ExtractionService.cache_stats` exposes the site-residency
+counters; the CLI (``python -m repro stats``) reads it.
 """
 
 from __future__ import annotations
@@ -226,44 +225,25 @@ class ExtractionService:
     # -- observability -----------------------------------------------------
 
     def cache_stats(self) -> dict:
-        """Every cache counter of the service, JSON-friendly.
+        """Site-residency counters, JSON-friendly.
 
-        ``sites`` is the site-residency LRU; ``per_site`` holds each
-        resident site's pool caches (feature registries merged across
-        cluster extractors, plus the signature→cluster memo).  Reading
-        stats does not touch recency.
+        ``sites`` is the site-residency LRU.  ``per_site`` is always
+        empty — no per-site cache is left to report — and stays for
+        readers that index it.  Reading stats does not touch recency.
         """
-        per_site: dict[str, dict] = {}
         with self._residency_lock:
-            residents = {
-                site: self._sites.peek(site) for site in self._sites.keys()
-            }
             site_stats = self._sites.stats().to_dict()
-        for site, resident in residents.items():
-            if resident is None or resident.pool is None:
-                continue
-            per_site[site] = {
-                name: stats.to_dict()
-                for name, stats in resident.pool.cache_stats().items()
-            }
-        return {"sites": site_stats, "per_site": per_site}
+        return {"sites": site_stats, "per_site": {}}
 
     def publish_metrics(self, registry=None) -> None:
         """Fold :meth:`cache_stats` into a metrics registry (default: the
-        active :func:`repro.obs.metrics` one).
+        active :func:`repro.obs.metrics` one) as ``cache.resident_sites.*``.
 
-        Per-site pool counters merge into one ``cache.<name>.*`` family
-        per cache kind, matching what pool workers report — so a parent
-        registry that merges many workers' snapshots and a single-process
-        run produce the same counter names.  Cache counters are
-        cumulative: publish once per service lifetime, at report time.
+        Cache counters are cumulative: publish once per service lifetime,
+        at report time.
         """
         registry = obs.metrics() if registry is None else registry
-        stats = self.cache_stats()
-        registry.record_cache(stats["sites"])
-        for site_stats in stats["per_site"].values():
-            for data in site_stats.values():
-                registry.record_cache(data)
+        registry.record_cache(self.cache_stats()["sites"])
 
     # -- serving -----------------------------------------------------------
 
@@ -279,7 +259,7 @@ class ExtractionService:
         the compiled scoring engine — not page by page.  ``threshold``
         defaults to the trained config's ``confidence_threshold``.  No
         annotation or training happens here, and no per-batch cleanup is
-        needed: per-page state lives in bounded LRUs keyed by ``doc_id``.
+        needed: per-page state is bounded and keyed by ``doc_id``.
 
         With ``transfer_fallback`` on, a site with no artifact is served
         zero-shot from the global model instead (tagged

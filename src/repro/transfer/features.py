@@ -34,7 +34,6 @@ from repro.core.extraction.features import FeatureDict, NodeFeatureExtractor
 from repro.dom.node import TextNode
 from repro.dom.parser import Document
 from repro.ml.features import NAMESPACE_SEPARATOR, TRANSFER_NAMESPACE
-from repro.runtime.cache import CacheStats, LRUCache
 
 __all__ = ["TransferFeatureExtractor", "predicate_tokens", "shape_classes"]
 
@@ -116,13 +115,11 @@ class TransferFeatureExtractor:
         # lexicon it emits structural features only, of which we keep the
         # xfer: namespace (tag topology) and drop site: (attr values).
         self._structural = NodeFeatureExtractor(self.config)
-        # page rows are deterministic per document; bounded LRU keyed by
-        # doc_id, same discipline as the per-site feature registries.
-        self._page_cache: LRUCache[int, tuple[list[TextNode], list[FeatureDict]]] = (
-            LRUCache(
-                self.config.feature_registry_cache_size, name="transfer_features"
-            )
-        )
+        # Page rows are deterministic per document; keep the last page's,
+        # keyed by doc_id like the per-site feature registry.
+        self._last_page: tuple[
+            int | None, tuple[list[TextNode], list[FeatureDict]]
+        ] = (None, ([], []))
 
     # -- page-level extraction ---------------------------------------------
 
@@ -132,11 +129,11 @@ class TransferFeatureExtractor:
         """``(nodes, feature dicts)`` for every non-empty text field.
 
         Layout features are relative positions within this list, so rows
-        are built page-at-a-time (and cached per ``doc_id``); single-node
-        access goes through :meth:`features`.
+        are built page-at-a-time (the last page's are kept, keyed by
+        ``doc_id``); single-node access goes through :meth:`features`.
         """
-        cached = self._page_cache.get(document.doc_id)
-        if cached is not None:
+        doc_id, cached = self._last_page
+        if doc_id == document.doc_id:
             return cached
         nodes = [node for node in document.text_fields() if node.text.strip()]
         rows = [
@@ -144,7 +141,7 @@ class TransferFeatureExtractor:
             for position, node in enumerate(nodes)
         ]
         result = (nodes, rows)
-        self._page_cache.put(document.doc_id, result)
+        self._last_page = (document.doc_id, result)
         return result
 
     def features(self, node: TextNode, document: Document) -> FeatureDict:
@@ -206,9 +203,3 @@ class TransferFeatureExtractor:
                 result[f"xfer:pred|{predicate}|{context}|full"] = 1.0
             elif wanted & tokens:
                 result[f"xfer:pred|{predicate}|{context}|part"] = 1.0
-
-    # -- observability -----------------------------------------------------
-
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the per-page row cache."""
-        return self._page_cache.stats()

@@ -37,7 +37,6 @@ from repro.core.extraction.extractor import (
     PageCandidates,
 )
 from repro.core.extraction.scoring import PageScores
-from repro.dom.node import TextNode
 from repro.dom.parser import Document
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression
@@ -79,15 +78,6 @@ class GlobalCeresModel:
             X = self.vectorizer.transform(rows)
             results.append((nodes, self.classifier.predict_proba(X)))
         return results
-
-    def predict_proba_for_nodes(
-        self, nodes: list[TextNode], document: Document
-    ) -> np.ndarray:
-        """Per-node probabilities, rows aligned with ``nodes`` (interface
-        parity with :class:`CeresModel`)."""
-        samples = [self.feature_extractor.features(node, document) for node in nodes]
-        X = self.vectorizer.transform(samples)
-        return self.classifier.predict_proba(X)
 
     # -- extraction --------------------------------------------------------
 

@@ -321,6 +321,17 @@ class TestFuseCommand:
         with pytest.raises(SystemExit):
             main(["fuse", "--input", str(tmp_path / "nope.jsonl")])
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--shards", "n_shards must be >= 1"),
+         ("--max-resident-facts", "max_resident_facts must be >= 1")],
+    )
+    def test_fuse_store_limits_are_usage_errors(self, tmp_path, flag, message):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text("")
+        with pytest.raises(SystemExit, match=message):
+            main(["fuse", "--input", str(rows), flag, "0"])
+
     def test_fuse_malformed_rows_fail_cleanly(self, tmp_path):
         """Valid JSON that is not an extraction row must name the line,
         not crash with a traceback."""
@@ -361,13 +372,9 @@ class TestStatsCommand:
         assert payload["served"]["pages"] == 16
         assert payload["served"]["extractions"] > 0
         assert payload["loaded_sites"] == [pages_dir.name]
-        site_stats = payload["cache_stats"]["per_site"][pages_dir.name]
-        # The batched scoring engine compiles features directly from the
-        # vocabulary; the per-page registry LRU (and, for single-cluster
-        # sites, the assignment memo) is a training/legacy-path cache and
-        # stays cold during serving.
-        assert site_stats["feature_registry"]["misses"] == 0
-        assert site_stats["cluster_assignment"]["misses"] == 0
+        sites = payload["cache_stats"]["sites"]
+        assert (sites["size"], sites["misses"]) == (1, 1)
+        assert payload["cache_stats"]["per_site"] == {}
 
     def test_stats_unknown_site_errors(self, site_on_disk, tmp_path):
         _, _, pages_dir = site_on_disk

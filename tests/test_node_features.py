@@ -123,15 +123,6 @@ class TestTextFeatures:
         extractor = NodeFeatureExtractor(CeresConfig()).fit([])
         assert extractor.frequent_strings == set()
 
-    def test_clear_page_cache(self):
-        docs = self.pages()
-        extractor = NodeFeatureExtractor(CeresConfig()).fit(docs)
-        node = docs[0].text_fields()[0]
-        extractor.features(node, docs[0])
-        assert extractor._page_registry
-        extractor.clear_page_cache()
-        assert not extractor._page_registry
-
 
 class TestRegistryCacheSafety:
     """The bug this PR kills: registries were keyed by ``id(document)``,
@@ -206,24 +197,28 @@ class TestRegistryCacheSafety:
             pytest.skip("interpreter never recycled a document id")
 
     def test_registry_cache_is_bounded(self):
-        config = CeresConfig(feature_registry_cache_size=4)
-        extractor = NodeFeatureExtractor(config)
-        extractor.frequent_strings = {"Director:"}
+        """Only the last page's registry stays resident."""
+        extractor = self._extractor()
         docs = [parse_html(self.PAGE_A) for _ in range(10)]
         for doc in docs:
             node = doc.text_fields()[0]
             extractor.features(node, doc)
-        stats = extractor.cache_stats()
-        assert stats.size == 4
-        assert stats.capacity == 4
-        assert stats.evictions == 6
+        doc_id, registry = extractor._last_registry
+        assert doc_id == docs[-1].doc_id
+        assert registry is extractor.registry_for(docs[-1])
 
-    def test_cache_stats_count_hits(self):
+    def test_registry_for_reuses_page_then_rebuilds(self):
         extractor = self._extractor()
-        doc = parse_html(self.PAGE_A)
-        node = doc.text_fields()[0]
-        extractor.features(node, doc)
-        extractor.features(node, doc)
-        stats = extractor.cache_stats()
-        assert stats.misses == 1
-        assert stats.hits == 1
+        doc_a = parse_html(self.PAGE_A)
+        doc_b = parse_html(self.PAGE_B)
+        first = extractor.registry_for(doc_a)
+        assert extractor.registry_for(doc_a) is first
+        registry_b = extractor.registry_for(doc_b)
+        assert registry_b is not first
+        assert any(
+            text == "Writer:" for entries in registry_b.values()
+            for text, _ in entries
+        )
+        rebuilt = extractor.registry_for(doc_a)
+        assert rebuilt is not first
+        assert rebuilt == first

@@ -429,6 +429,22 @@ class TestRetriesAndQuarantine:
         assert counters["runner.sites_ok"] == len(site_names)
         assert all(by_site[s].attempts == 1 for s in site_names[1:])
 
+    def test_negative_retry_backoff_rejected_before_running(
+        self, corpus_on_disk
+    ):
+        """A negative backoff is refused before any site runs, not left
+        to fail inside the retry sleep at the first transient error."""
+        kb_path, corpus_dir, site_names = corpus_on_disk
+        plan = FaultPlan(
+            [FaultSpec("site.extract", action="raise-transient",
+                       site=site_names[0], times=1)]
+        )
+        with pytest.raises(ValueError, match="retry_backoff must be >= 0"):
+            _run(
+                corpus_dir, kb_path, plan=plan,
+                max_attempts=3, retry_backoff=-1,
+            )
+
     def test_permanent_failure_fails_fast_no_retry(self, corpus_on_disk):
         kb_path, corpus_dir, site_names = corpus_on_disk
         victim = site_names[0]
@@ -783,6 +799,13 @@ class TestResilienceCLI:
                 "--corpus", str(corpus_dir),
                 "--registry", str(tmp_path / "models"),
                 "--site-timeout", "0",
+            ])
+        with pytest.raises(SystemExit, match="--retry-backoff"):
+            main([
+                "run-corpus", "--kb", str(kb_path),
+                "--corpus", str(corpus_dir),
+                "--registry", str(tmp_path / "models"),
+                "--retry-backoff", "-1",
             ])
 
     def test_run_dir_then_resume_round_trip(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.cache import CacheStats, LRUCache
+from repro.runtime.cache import LRUCache
 
 
 class TestLRUBasics:
@@ -49,8 +49,6 @@ class TestLRUBasics:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             LRUCache(0)
-        with pytest.raises(ValueError, match="capacity"):
-            LRUCache(4).resize(-1)
 
     def test_pop_and_clear(self):
         cache = LRUCache(4)
@@ -62,27 +60,6 @@ class TestLRUBasics:
         assert len(cache) == 0
         # pop/clear are not evictions — counters untouched.
         assert cache.stats().evictions == 0
-
-    def test_resize_shrink_evicts_lru(self):
-        cache = LRUCache(4)
-        for key in "abcd":
-            cache.put(key, key)
-        cache.get("a")
-        cache.resize(2)
-        assert cache.keys() == ["d", "a"]
-        assert cache.stats().evictions == 2
-
-    def test_get_or_create(self):
-        cache = LRUCache(2)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_create("k", factory) == "value"
-        assert cache.get_or_create("k", factory) == "value"
-        assert len(calls) == 1
 
     def test_peek_does_not_touch_recency_or_counters(self):
         cache = LRUCache(2)
@@ -129,12 +106,6 @@ class TestStats:
             "evictions": 0,
             "hit_rate": 0.0,
         }
-
-    def test_merged(self):
-        a = CacheStats("a", 2, 1, 10, 5, 1)
-        b = CacheStats("b", 3, 2, 20, 5, 0)
-        merged = a.merged(b, name="both")
-        assert merged == CacheStats("both", 5, 3, 30, 10, 1)
 
     def test_clear_preserves_history(self):
         cache = LRUCache(2)

@@ -108,6 +108,27 @@ class TestRoundTrip:
         twice = site_model_to_dict(site_model_from_dict(once))
         assert json.dumps(once, sort_keys=True) == json.dumps(twice, sort_keys=True)
 
+    def test_artifact_with_retired_config_keys_loads(self, trained_site, registry):
+        """Artifacts written before two cache-size knobs were retired
+        carry them in their config; they still load and score the same."""
+        site, config, documents, result = trained_site
+        path = registry.save(SiteModel.from_result(site, config, result))
+        artifact = json.loads(path.read_text())
+        artifact["config"].update(
+            feature_registry_cache_size=512, assignment_cache_size=4096
+        )
+        path.write_text(json.dumps(artifact))
+        loaded = registry.load(site)
+        assert loaded.config == config
+        from repro.core.extraction.extractor import ClusterExtractorPool
+
+        pool = ClusterExtractorPool(
+            [(c.signature, c.model) for c in loaded.clusters], loaded.config
+        )
+        assert _extraction_rows(pool.extract(documents)) == _extraction_rows(
+            result.extractions
+        )
+
     def test_sites_listing_and_has(self, trained_site, registry):
         site, config, _, result = trained_site
         assert registry.sites() == []

@@ -485,7 +485,7 @@ class TestRunnerObservability:
         # The satellite fix: per-site cache counters no longer die with
         # the worker.
         assert "cache.page_match.hits" in counters
-        assert "cache.feature_registry.misses" in counters
+        assert "cache.page_match.misses" in counters
         histograms = report["metrics"]["histograms"]
         for name in (
             "runner.site_seconds", "stage.annotate_seconds",
@@ -554,7 +554,7 @@ class TestRunnerObservability:
         assert counters["fusion.rows"] == sum(
             r.n_extractions for r in reports
         )
-        assert "cache.feature_registry.misses" in counters
+        assert "cache.page_match.misses" in counters
         # One site.seconds sample per site, merged across workers.
         assert histograms["runner.site_seconds"]["count"] == len(site_names)
         # Worker spans absorbed, parent-side fuse stage traced.
@@ -562,20 +562,3 @@ class TestRunnerObservability:
             "site.run", "stage.cluster", "stage.annotate", "stage.train",
             "stage.extract", "stage.fuse",
         } <= span_names
-
-    def test_summary_feat_cache_note(self):
-        from repro.runtime import SiteReport
-
-        report = SiteReport(
-            site="s", ok=True, n_pages=4,
-            metrics={
-                "counters": {
-                    "cache.feature_registry.hits": 3,
-                    "cache.feature_registry.misses": 1,
-                },
-                "histograms": {},
-            },
-        )
-        assert "feat_cache=75%" in report.summary()
-        bare = SiteReport(site="s", ok=True, n_pages=4)
-        assert "feat_cache" not in bare.summary()

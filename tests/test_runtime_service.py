@@ -111,39 +111,67 @@ class TestExtractorCaching:
         service.extract_pages(site, documents[4:])
         assert count_extractors.constructed == constructed_after_first
 
-    def test_single_cluster_skips_assignment(self, trained_site):
+    def test_single_cluster_skips_assignment(self, trained_site, monkeypatch):
         """One modeled cluster: every page must assign to it, so the
-        batched path skips signatures and the memo stays cold."""
+        batched path never computes a page signature."""
         site, config, documents, result = trained_site
         service = ExtractionService()
         service.add_site_model(SiteModel.from_result(site, config, result))
         pool = service.pool(site)
         assert len(pool) == 1
-        service.extract_pages(site, documents)
-        assert len(pool._assignments) == 0
-        assert pool._assignments.stats().misses == 0
 
-    def test_assignment_memoized(self, trained_site):
-        """With several modeled clusters, page→cluster assignment runs
-        and is memoized by page signature."""
-        site, config, documents, result = trained_site
-        model = result.cluster_results[0].model
-        signature = result.cluster_results[0].signature
-        pool = ClusterExtractorPool(
-            [(signature, model), (frozenset({"/html/body/table"}), model)],
-            config,
+        def no_signature(document):
+            raise AssertionError("single-cluster pool computed a signature")
+
+        monkeypatch.setattr(extractor_module, "page_signature", no_signature)
+        assert service.extract_pages(site, documents)
+
+    def test_two_clusters_assign_to_nearest_leader(self, trained_site):
+        """With several modeled clusters each page goes to its
+        Jaccard-nearest leader, and the batched path agrees with the
+        per-page one."""
+        from repro.clustering.templates import page_signature
+        from repro.text.distance import jaccard
+
+        _, config, documents, result = trained_site
+        # The fixture's other site: a second template with its own model.
+        dataset = generate_swde("movie", n_sites=2, pages_per_site=16, seed=4)
+        other = [page.document for page in dataset.sites[0].pages]
+        other_result = CeresPipeline(seed_kb_for(dataset, 4), config).run(
+            other, other
         )
-        assert len(pool._assignments) == 0
-        pool.extract(documents)
-        assert len(pool._assignments) > 0  # signatures now cached
-        # A second batch over the same documents hits the memo (their
-        # signatures are cached on the Document, the assignment here).
-        before = pool._assignments.stats()
-        pool.extract(documents)
-        after = pool._assignments.stats()
-        assert after.size == before.size
-        assert after.misses == before.misses  # no recomputation
-        assert after.hits > before.hits
+        clusters = [
+            (other_result.cluster_results[0].signature,
+             other_result.cluster_results[0].model),
+            (result.cluster_results[0].signature,
+             result.cluster_results[0].model),
+        ]
+        pool = ClusterExtractorPool(clusters, config)
+        batch = [page for pair in zip(other, documents) for page in pair]
+        for position, document in enumerate(batch):
+            signature = page_signature(document)
+            similarity = [jaccard(signature, leader) for leader, _ in clusters]
+            assert pool.assign(signature) == similarity.index(max(similarity))
+            assert pool.assign(signature) == position % 2  # its own template
+
+        def rows(pages):
+            return [
+                (page.page_index, page.subject, page.name_confidence,
+                 [(id(node), label, score)
+                  for node, label, score in page.candidates])
+                for page in pages
+            ]
+
+        batched = pool.candidates(batch)
+        assert rows(batched) == rows(
+            pool.candidates_for_page(document, index)
+            for index, document in enumerate(batch)
+        )
+        own = [CeresExtractor(model, config) for _, model in clusters]
+        assert rows(batched) == rows(
+            own[index % 2].candidates_for_page(document, index)
+            for index, document in enumerate(batch)
+        )
 
 
 class TestServiceMisc:
@@ -173,14 +201,25 @@ class TestServiceMisc:
         assert _rows(service.extract_pages(site, documents)) == _rows(first)
 
     def test_page_caches_bounded_across_batches(self, trained_site):
+        """Serving keeps no per-page state: every batch's documents are
+        freed once the caller drops them."""
+        import gc
+        import weakref
+
+        from repro.dom.parser import parse_html
+        from repro.dom.serialize import to_html
+
         site, config, documents, result = trained_site
         service = ExtractionService()
         service.add_site_model(SiteModel.from_result(site, config, result))
+        served = []
         for _ in range(3):
-            service.extract_pages(site, documents)
-        for extractor in service.pool(site).extractors:
-            registry = extractor.model.feature_extractor._page_registry
-            assert len(registry) <= registry.capacity
+            fresh = [parse_html(to_html(document.root)) for document in documents]
+            assert service.extract_pages(site, fresh)
+            served.extend(weakref.ref(document) for document in fresh)
+            del fresh
+        gc.collect()
+        assert not [ref for ref in served if ref() is not None]
 
     def test_empty_site_model_extracts_nothing(self):
         service = ExtractionService()
@@ -271,23 +310,12 @@ class TestCacheStats:
         site, config, documents, result = trained_site
         service = ExtractionService()
         service.add_site_model(SiteModel.from_result(site, config, result))
-        before = service.cache_stats()["per_site"].get(site)
         service.extract_pages(site, documents)
         stats = service.cache_stats()
         assert stats["sites"]["size"] == 1
-        per_site = stats["per_site"][site]
-        assert set(per_site) == {"feature_registry", "cluster_assignment"}
         for name in ("hits", "misses", "evictions", "size", "capacity"):
-            assert name in per_site["feature_registry"]
-        # The batched engine compiles features from the vocabulary and
-        # never consults the per-page registry LRU; serving leaves its
-        # counters exactly where training left them (the fixture's model
-        # is shared, so the absolute counts are not zero).
-        service.extract_pages(site, documents)
-        after = service.cache_stats()["per_site"][site]
-        assert after["feature_registry"] == per_site["feature_registry"]
-        if before is not None:
-            assert per_site["feature_registry"] == before["feature_registry"]
+            assert name in stats["sites"]
+        assert stats["per_site"] == {}
 
     def test_stats_do_not_touch_recency(self):
         service = ExtractionService(max_resident_sites=2)

@@ -88,6 +88,27 @@ class TestTransferFeatures:
                 names.update(n for n in row if n.startswith("xfer:pred|"))
         assert names  # genre/rating/... labels overlap predicate names
 
+    def test_features_build_one_pages_rows_once(self, swde, monkeypatch):
+        dataset, kb = swde
+        extractor = TransferFeatureExtractor(kb.ontology.names(), CeresConfig())
+        calls = []
+        build = extractor._node_features
+
+        def counting(*args):
+            calls.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(extractor, "_node_features", counting)
+        document = dataset.sites[0].pages[0].document
+        nodes = [node for node in document.text_fields() if node.text.strip()]
+        rows = [extractor.features(node, document) for node in nodes]
+        assert len(calls) == len(nodes)
+        assert rows == extractor.page_features(document)[1]
+        assert len(calls) == len(nodes)
+        other = dataset.sites[0].pages[1].document
+        extractor.page_features(other)
+        assert len(calls) > len(nodes)  # a new page builds its own rows
+
 
 class TestNamespaceSeparation:
     """Satellite: no xfer: feature may embed site-specific vocabulary."""
