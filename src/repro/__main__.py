@@ -70,9 +70,12 @@ every worker's telemetry, merged)::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 # The program's parallelism is run-corpus's process pool and serve-http's
@@ -90,27 +93,99 @@ from repro.kb.io import load_kb
 
 __all__ = ["main"]
 
-
-def _add_min_predicate_pages(parser: argparse.ArgumentParser) -> None:
-    """Annotation knob shared by the commands that run Algorithm 2."""
-    parser.add_argument(
-        "--min-predicate-pages", type=int, default=None, metavar="N",
+#: Flags several commands share, each declared once; :func:`_add_shared`
+#: attaches them to a command.
+_SHARED_FLAGS: dict[str, dict] = {
+    "--kb": dict(required=True, help="seed KB JSON file"),
+    "--pages": dict(required=True, help="directory of .html files (one site)"),
+    "--corpus": dict(
+        required=True, help="directory of per-site subdirectories, or a JSONL manifest"
+    ),
+    "--registry": dict(required=True, help="model registry directory"),
+    "--site": dict(help="registry site key (default: pages directory name)"),
+    "--threshold": dict(
+        type=float, default=0.5, help="confidence threshold (default %(default)s)"
+    ),
+    "--output": dict(default="-", help="output JSONL path (default: stdout)"),
+    "--no-template-clustering": dict(
+        action="store_true", help="treat each site's pages as one template"
+    ),
+    "--min-predicate-pages": dict(
+        type=int, metavar="N",
         help="judge object over-representation only for predicates seen on "
         "at least N pages (default: CeresConfig.min_predicate_pages)",
-    )
-
-
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """Tracing/metrics outputs, shared by every processing command."""
-    parser.add_argument(
-        "--trace-output", default=None, metavar="PATH",
+    ),
+    "--transfer-fallback": dict(
+        action="store_true",
+        help="serve sites with no artifact zero-shot from the registry's "
+        "cross-site global model (see `train-global`)",
+    ),
+    "--max-resident-sites": dict(
+        type=int,
+        help="site residency cap (default: CeresConfig.max_resident_sites)",
+    ),
+    "--trace-output": dict(
+        metavar="PATH",
         help="write nested wall-clock spans as JSONL here (enables tracing)",
-    )
-    parser.add_argument(
-        "--metrics-output", default=None, metavar="PATH",
+    ),
+    "--metrics-output": dict(
+        metavar="PATH",
         help="write a counter/histogram snapshot as JSON here "
         "(enables metrics)",
-    )
+    ),
+}
+#: Tracing/metrics outputs, accepted by every processing command.
+_OBS_FLAGS = ("trace_output", "metrics_output")
+
+#: Help for serve-http's tuning flags, one per ServingConfig field; each
+#: flag's type and default are read from the dataclass.
+_SERVING_HELP = {
+    "host": "bind address",
+    "port": "TCP port; 0 binds an ephemeral port",
+    "max_body_bytes": "largest accepted request body, in bytes",
+    "workers": "batch worker threads",
+    "max_queue_depth": "admission queue bound; a full queue sheds with 429 + Retry-After",
+    "retry_after": "Retry-After hint on shed (429) and draining (503) responses",
+    "request_deadline": "per-request budget, enqueue to response; expiry answers 504",
+    "batch_max_pages": "page cap per merged cross-request batch",
+    "batch_linger": "wait this long for same-site requests to co-batch; 0 scores at once",
+    "breaker_failures": "consecutive permanent failures that open a site's breaker",
+    "breaker_cooldown": "open-breaker cooldown before a half-open probe",
+    "breaker_probes": "successful probes that close a half-open breaker",
+    "drain_timeout": "SIGTERM drain budget before queued work is answered 503",
+    "max_parse_depth": "element nesting cap for untrusted HTML (None: CeresConfig's)",
+    "max_parse_nodes": "parsed-node cap for untrusted HTML (None: CeresConfig's)",
+}
+
+
+def _add_shared(parser, *dests: str, **overrides: dict) -> None:
+    """Attach the shared flags named by their dests (``kb`` for ``--kb``);
+    ``overrides`` maps a dest to the keywords that differ on this command."""
+    for dest in dests:
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, **_SHARED_FLAGS[flag] | overrides.get(dest, {}))
+
+
+def _add_serving_flags(parser) -> None:
+    """One flag per :class:`~repro.serving.config.ServingConfig` field,
+    stored under the field's name."""
+    from repro.serving.config import ServingConfig
+
+    hints = typing.get_type_hints(ServingConfig)
+    for field in dataclasses.fields(ServingConfig):
+        # An optional field (``int | None``) parses as its non-None type.
+        kind = next(
+            (t for t in typing.get_args(hints[field.name]) if t is not type(None)),
+            hints[field.name],
+        )
+        # The one flag named apart from its field: --threads predates it.
+        name = "threads" if field.name == "workers" else field.name
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=field.name, type=kind,
+            default=field.default,
+            metavar="SECONDS" if kind is float else name.upper(),
+            help=_SERVING_HELP[field.name] + " (default: %(default)s)",
+        )
 
 
 def _setup_obs(args) -> None:
@@ -144,15 +219,21 @@ def _write_obs(args) -> None:
         print(f"[repro] metrics snapshot -> {metrics_path}", file=sys.stderr)
 
 
-def _annotation_overrides(args) -> dict:
-    """CeresConfig overrides from annotation-stage CLI flags."""
+def _config(args) -> CeresConfig:
+    """The CeresConfig a command's flags select; a flag the command lacks
+    or leaves unset keeps the dataclass default."""
     overrides = {}
-    min_pages = getattr(args, "min_predicate_pages", None)
-    if min_pages is not None:
-        if min_pages < 1:
-            raise SystemExit("--min-predicate-pages must be >= 1")
-        overrides["min_predicate_pages"] = min_pages
-    return overrides
+    for dest in ("min_predicate_pages", "max_resident_sites"):
+        value = getattr(args, dest, None)
+        if value is not None:
+            if value < 1:
+                raise SystemExit(f"--{dest.replace('_', '-')} must be >= 1")
+            overrides[dest] = value
+    if getattr(args, "threshold", None) is not None:
+        overrides["confidence_threshold"] = args.threshold
+    if getattr(args, "no_template_clustering", False):
+        overrides["use_template_clustering"] = False
+    return CeresConfig(**overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,219 +244,74 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     extract = sub.add_parser("extract", help="annotate, train, and extract from a site")
-    extract.add_argument("--kb", required=True, help="seed KB JSON file")
-    extract.add_argument(
-        "--pages", required=True, help="directory of .html files (one site)"
+    _add_shared(
+        extract, "kb", "pages", "threshold", "output",
+        "no_template_clustering", "min_predicate_pages", *_OBS_FLAGS,
     )
-    extract.add_argument(
-        "--threshold", type=float, default=0.5, help="confidence threshold (default 0.5)"
-    )
-    extract.add_argument(
-        "--output", default="-", help="output JSONL path (default: stdout)"
-    )
-    extract.add_argument(
-        "--no-template-clustering", action="store_true",
-        help="treat all pages as one template",
-    )
-    _add_min_predicate_pages(extract)
-    _add_obs_flags(extract)
 
     annotate = sub.add_parser(
         "annotate", help="run annotation only and print the labels"
     )
-    annotate.add_argument("--kb", required=True)
-    annotate.add_argument("--pages", required=True)
-    _add_min_predicate_pages(annotate)
+    _add_shared(annotate, "kb", "pages", "min_predicate_pages")
 
     train = sub.add_parser(
         "train", help="annotate + train a site and persist the model to a registry"
     )
-    train.add_argument("--kb", required=True, help="seed KB JSON file")
-    train.add_argument(
-        "--pages", required=True, help="directory of .html files (one site)"
+    _add_shared(
+        train, "kb", "pages", "registry", "site", "threshold",
+        "no_template_clustering", "min_predicate_pages", *_OBS_FLAGS,
     )
-    train.add_argument(
-        "--registry", required=True, help="model registry directory"
-    )
-    train.add_argument(
-        "--site", default=None,
-        help="site name the artifact is keyed by (default: pages directory name)",
-    )
-    train.add_argument(
-        "--threshold", type=float, default=0.5,
-        help="default confidence threshold stored with the model (default 0.5)",
-    )
-    train.add_argument(
-        "--no-template-clustering", action="store_true",
-        help="treat all pages as one template",
-    )
-    _add_min_predicate_pages(train)
-    _add_obs_flags(train)
 
     serve = sub.add_parser(
         "serve",
         help="extract using a registry artifact — no annotation, no training",
     )
-    serve.add_argument("--registry", required=True, help="model registry directory")
-    serve.add_argument(
-        "--pages", required=True, help="directory of .html files to extract from"
+    _add_shared(
+        serve, "registry", "pages", "site", "threshold", "output",
+        "transfer_fallback", *_OBS_FLAGS,
+        threshold=dict(
+            default=None,
+            help="confidence threshold (default: the trained model's)",
+        ),
     )
-    serve.add_argument(
-        "--site", default=None,
-        help="registry site key (default: pages directory name)",
-    )
-    serve.add_argument(
-        "--threshold", type=float, default=None,
-        help="confidence threshold (default: the trained model's)",
-    )
-    serve.add_argument(
-        "--output", default="-", help="output JSONL path (default: stdout)"
-    )
-    serve.add_argument(
-        "--transfer-fallback", action="store_true",
-        help="serve sites with no artifact zero-shot from the registry's "
-        "cross-site global model (see `train-global`)",
-    )
-    _add_obs_flags(serve)
 
     serve_http = sub.add_parser(
         "serve-http",
         help="run the resilient HTTP/JSON serving tier in front of a "
-        "registry (bounded queue, deadlines, per-site circuit breakers, "
-        "graceful SIGTERM drain)",
+        "registry (bounded queue, deadlines, per-site circuit breakers "
+        "degrading to the global model, graceful SIGTERM drain)",
     )
-    serve_http.add_argument(
-        "--registry", required=True, help="model registry directory"
+    _add_shared(
+        serve_http, "registry", "max_resident_sites", "transfer_fallback", *_OBS_FLAGS
     )
-    serve_http.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve_http.add_argument(
-        "--port", type=int, default=8080,
-        help="TCP port; 0 binds an ephemeral port (default 8080)",
-    )
-    serve_http.add_argument(
-        "--threads", type=int, default=2,
-        help="batch worker threads (default 2)",
-    )
-    serve_http.add_argument(
-        "--max-queue-depth", type=int, default=64,
-        help="admission queue bound; beyond it requests are shed with "
-        "429 + Retry-After (default 64)",
-    )
-    serve_http.add_argument(
-        "--request-deadline", type=float, default=30.0, metavar="SECONDS",
-        help="per-request wall-clock budget, enqueue to response "
-        "(default 30; expired requests get 504)",
-    )
-    serve_http.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="SECONDS",
-        help="Retry-After hint on shed/draining responses (default 1)",
-    )
-    serve_http.add_argument(
-        "--batch-max-pages", type=int, default=64,
-        help="page cap per merged cross-request batch (default 64)",
-    )
-    serve_http.add_argument(
-        "--batch-linger", type=float, default=0.0, metavar="SECONDS",
-        help="wait up to this long for same-site requests to co-batch "
-        "(default 0: score immediately)",
-    )
-    serve_http.add_argument(
-        "--breaker-failures", type=int, default=3,
-        help="consecutive permanent failures that open a site's circuit "
-        "breaker (default 3)",
-    )
-    serve_http.add_argument(
-        "--breaker-cooldown", type=float, default=30.0, metavar="SECONDS",
-        help="open-breaker cooldown before a half-open probe (default 30)",
-    )
-    serve_http.add_argument(
-        "--breaker-probes", type=int, default=1,
-        help="successful probes required to close a half-open breaker "
-        "(default 1)",
-    )
-    serve_http.add_argument(
-        "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="SIGTERM drain budget before queued work is force-answered "
-        "503 (default 30)",
-    )
-    serve_http.add_argument(
-        "--max-body-bytes", type=int, default=16 << 20,
-        help="largest accepted request body (default 16 MiB)",
-    )
-    serve_http.add_argument(
-        "--max-resident-sites", type=int, default=None,
-        help="site residency cap (default: CeresConfig.max_resident_sites)",
-    )
-    serve_http.add_argument(
-        "--transfer-fallback", action="store_true",
-        help="serve sites with no artifact zero-shot from the registry's "
-        "cross-site global model (breaker-open degradation always tries "
-        "the global model regardless of this flag)",
-    )
-    serve_http.add_argument(
-        "--max-parse-depth", type=int, default=None,
-        help="element nesting cap for untrusted HTML "
-        "(default: CeresConfig.max_parse_depth)",
-    )
-    serve_http.add_argument(
-        "--max-parse-nodes", type=int, default=None,
-        help="parsed-node cap for untrusted HTML "
-        "(default: CeresConfig.max_parse_nodes)",
-    )
-    _add_obs_flags(serve_http)
+    _add_serving_flags(serve_http)
 
     train_global = sub.add_parser(
         "train-global",
         help="train the cross-site global (transfer) model over a corpus "
         "and persist it to the registry",
     )
-    train_global.add_argument("--kb", required=True, help="seed KB JSON file")
-    train_global.add_argument(
-        "--corpus", required=True,
-        help="directory of per-site subdirectories, or a JSONL manifest",
-    )
-    train_global.add_argument(
-        "--registry", required=True,
-        help="model registry directory the global artifact is written to",
+    _add_shared(
+        train_global, "kb", "corpus", "registry", "min_predicate_pages", *_OBS_FLAGS
     )
     train_global.add_argument(
         "--exclude", action="append", default=[], metavar="SITE",
         help="leave this site out of training (repeatable; e.g. the site "
         "you plan to evaluate zero-shot)",
     )
-    _add_min_predicate_pages(train_global)
-    _add_obs_flags(train_global)
 
     corpus = sub.add_parser(
         "run-corpus",
         help="train + extract every site of a multi-site corpus in parallel",
     )
-    corpus.add_argument("--kb", required=True, help="seed KB JSON file")
-    corpus.add_argument(
-        "--corpus", required=True,
-        help="directory of per-site subdirectories, or a JSONL manifest",
-    )
-    corpus.add_argument(
-        "--registry", required=True, help="model registry directory for artifacts"
-    )
-    corpus.add_argument(
-        "--output", default="-", help="extraction JSONL path (default: stdout)"
+    _add_shared(
+        corpus, "kb", "corpus", "registry", "output", "threshold",
+        "no_template_clustering", "min_predicate_pages", *_OBS_FLAGS,
     )
     corpus.add_argument(
         "--workers", type=int, default=None,
         help="process count (default: one per core; 1 = run inline)",
     )
-    corpus.add_argument(
-        "--threshold", type=float, default=0.5,
-        help="confidence threshold (default 0.5)",
-    )
-    corpus.add_argument(
-        "--no-template-clustering", action="store_true",
-        help="treat each site's pages as one template",
-    )
-    _add_min_predicate_pages(corpus)
     corpus.add_argument(
         "--train-global", action="store_true", dest="train_global",
         help="after the corpus finishes, pool every site's training "
@@ -420,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--retry-backoff", type=float, default=0.5, metavar="SECONDS",
         help="base of the exponential retry-backoff window (default 0.5)",
     )
-    _add_obs_flags(corpus)
 
     fuse = sub.add_parser(
         "fuse",
@@ -430,16 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--input", required=True,
         help="extraction JSONL with per-row 'site' labels ('-' for stdin)",
     )
-    fuse.add_argument(
-        "--output", default="-", help="fused-fact JSONL path (default: stdout)"
-    )
-    fuse.add_argument(
-        "--kb", default=None,
-        help="seed KB JSON; enables site-reliability weighting",
-    )
-    fuse.add_argument(
-        "--site", default=None,
-        help="site label for rows that carry no 'site' field (extract/serve output)",
+    _add_shared(
+        fuse, "output", "kb", "site", *_OBS_FLAGS,
+        kb=dict(
+            required=False,
+            help="seed KB JSON; enables site-reliability weighting",
+        ),
+        site=dict(
+            help="site label for rows that carry no 'site' field "
+            "(extract/serve output)",
+        ),
     )
     fuse.add_argument(
         "--min-sites", type=int, default=1,
@@ -461,24 +396,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spill-dir", default=None,
         help="spill directory (default: a self-cleaning temp dir)",
     )
-    _add_obs_flags(fuse)
 
     stats = sub.add_parser(
         "stats",
         help="report serving cache statistics (optionally after a warm batch)",
     )
-    stats.add_argument("--registry", required=True, help="model registry directory")
-    stats.add_argument(
-        "--pages", default=None,
-        help="optional .html directory to serve first, so counters are warm",
-    )
-    stats.add_argument(
-        "--site", default=None,
-        help="registry site key (default: pages directory name)",
-    )
-    stats.add_argument(
-        "--max-resident-sites", type=int, default=None,
-        help="site residency cap (default: CeresConfig.max_resident_sites)",
+    _add_shared(
+        stats, "registry", "pages", "site", "max_resident_sites",
+        pages=dict(
+            required=False,
+            help="optional .html directory to serve first, so counters are warm",
+        ),
     )
 
     lint = sub.add_parser(
@@ -513,6 +441,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_kb(path: str):
+    """The seed KB at ``path``; a file that cannot be read or parsed as a
+    KB is a usage error naming it."""
+    try:
+        return load_kb(path)
+    except (OSError, ValueError, KeyError) as error:
+        raise SystemExit(
+            f"cannot load seed KB {path}: {type(error).__name__}: {error}"
+        )
+
+
 def _load_documents(pages_dir: str) -> list:
     from repro.runtime.runner import load_site_documents
 
@@ -523,28 +462,38 @@ def _load_documents(pages_dir: str) -> list:
 
 
 def _open_sink(output: str):
-    return sys.stdout if output == "-" else open(output, "w", encoding="utf-8")
+    """``output`` opened for writing, as a context manager; '-' is stdout,
+    which it leaves open."""
+    if output == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8")
 
 
-def _write_extractions(extractions, documents, sink) -> None:
-    """The shared JSONL row format of extract/serve."""
+def _service(args):
+    """The ExtractionService that a serving command fronts."""
+    from repro.runtime import ExtractionService
+
+    return ExtractionService(
+        args.registry,
+        transfer_fallback=getattr(args, "transfer_fallback", False),
+        max_resident_sites=_config(args).max_resident_sites,
+    )
+
+
+def _write_extractions(extractions, documents, output: str) -> None:
+    """Write extract/serve's shared JSONL row format to ``output``."""
     from repro.runtime.runner import extraction_row
 
-    for extraction in extractions:
-        sink.write(
-            json.dumps(
-                extraction_row(extraction, documents[extraction.page_index].url),
-                ensure_ascii=False,
-            )
-            + "\n"
-        )
+    with _open_sink(output) as sink:
+        for extraction in extractions:
+            row = extraction_row(extraction, documents[extraction.page_index].url)
+            sink.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def _cmd_annotate(args) -> int:
-    kb = load_kb(args.kb)
+    kb = _load_kb(args.kb)
     documents = _load_documents(args.pages)
-    pipeline = CeresPipeline(kb, CeresConfig(**_annotation_overrides(args)))
-    result = pipeline.annotate(documents)
+    result = CeresPipeline(kb, _config(args)).annotate(documents)
     for page in result.annotated_pages:
         topic = kb.entity(page.topic_entity_id).name
         for annotation in page.annotations:
@@ -564,22 +513,12 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    kb = load_kb(args.kb)
+    kb = _load_kb(args.kb)
     documents = _load_documents(args.pages)
-    config = CeresConfig(
-        confidence_threshold=args.threshold,
-        use_template_clustering=not args.no_template_clustering,
-        **_annotation_overrides(args),
-    )
-    pipeline = CeresPipeline(kb, config)
+    pipeline = CeresPipeline(kb, _config(args))
     result = pipeline.run(documents, documents)
     obs.metrics().record_cache(pipeline.matcher.cache_stats())
-    sink = _open_sink(args.output)
-    try:
-        _write_extractions(result.extractions, documents, sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    _write_extractions(result.extractions, documents, args.output)
     print(
         f"[repro] {len(result.annotated_pages)} pages annotated, "
         f"{len(result.extractions)} triples extracted"
@@ -602,14 +541,10 @@ def _skipped_note(result) -> str:
 def _cmd_train(args) -> int:
     from repro.runtime import ModelRegistry, SiteModel
 
-    kb = load_kb(args.kb)
+    kb = _load_kb(args.kb)
     documents = _load_documents(args.pages)
     site = args.site or Path(args.pages).name
-    config = CeresConfig(
-        confidence_threshold=args.threshold,
-        use_template_clustering=not args.no_template_clustering,
-        **_annotation_overrides(args),
-    )
+    config = _config(args)
     pipeline = CeresPipeline(kb, config)
     result = pipeline.annotate(documents)
     pipeline.train(documents, result)
@@ -632,24 +567,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.runtime import ExtractionService, RegistryError
+    from repro.runtime import RegistryError
 
     documents = _load_documents(args.pages)
     site = args.site or Path(args.pages).name
-    service = ExtractionService(
-        args.registry, transfer_fallback=args.transfer_fallback
-    )
+    service = _service(args)
     try:
         extractions = service.extract_pages(site, documents, args.threshold)
     except RegistryError as error:
         raise SystemExit(f"registry error: {error}")
     service.publish_metrics()
-    sink = _open_sink(args.output)
-    try:
-        _write_extractions(extractions, documents, sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    _write_extractions(extractions, documents, args.output)
     zero_shot = any(
         getattr(extraction, "model", "site") != "site"
         for extraction in extractions
@@ -666,42 +594,27 @@ def _cmd_serve(args) -> int:
 def _cmd_serve_http(args) -> int:
     import signal
 
-    from repro.runtime import ExtractionService
     from repro.serving import ServingConfig, ServingServer
 
-    if args.max_resident_sites is not None and args.max_resident_sites < 1:
-        raise SystemExit("--max-resident-sites must be >= 1")
+    fields = dataclasses.fields(ServingConfig)
     try:
-        serving_config = ServingConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.threads,
-            max_queue_depth=args.max_queue_depth,
-            request_deadline=args.request_deadline,
-            retry_after=args.retry_after,
-            batch_max_pages=args.batch_max_pages,
-            batch_linger=args.batch_linger,
-            breaker_failures=args.breaker_failures,
-            breaker_cooldown=args.breaker_cooldown,
-            breaker_probes=args.breaker_probes,
-            drain_timeout=args.drain_timeout,
-            max_body_bytes=args.max_body_bytes,
-            max_parse_depth=args.max_parse_depth,
-            max_parse_nodes=args.max_parse_nodes,
-        )
+        serving_config = ServingConfig(**{f.name: getattr(args, f.name) for f in fields})
     except ValueError as error:
         raise SystemExit(str(error))
-    service = ExtractionService(
-        args.registry,
-        transfer_fallback=args.transfer_fallback,
-        max_resident_sites=args.max_resident_sites,
-    )
+    service = _service(args)
     # Metrics power /stats and the shed/breaker counters — always on
     # here, but never clobbering a registry --metrics-output installed.
     if not obs.metrics_enabled():
         obs.enable(tracing=False, metrics=True)
     server = ServingServer(service, serving_config)
-    server.start()
+    try:
+        server.start()
+    except OSError as error:
+        # A failed bind closes the listening socket and starts no thread.
+        raise SystemExit(
+            f"cannot serve on {serving_config.host}:{serving_config.port}: "
+            f"{error}"
+        )
 
     def _terminate(signum, frame):  # noqa: ARG001 — signal handler signature
         print(
@@ -736,12 +649,12 @@ def _cmd_train_global(args) -> int:
         discover_corpus(args.corpus)
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error))
-    config = CeresConfig(**_annotation_overrides(args))
+    kb = _load_kb(args.kb)
     try:
         model, path = train_global_from_corpus(
             args.corpus,
-            args.kb,
-            config=config,
+            kb,
+            config=_config(args),
             registry_root=args.registry,
             exclude=tuple(args.exclude),
             log=lambda line: print(f"[repro] {line}", file=sys.stderr),
@@ -767,6 +680,7 @@ def _cmd_fuse(args) -> int:
 
     if args.min_sites < 1:
         raise SystemExit("--min-sites must be >= 1")
+    tally = None if args.kb is None else AgreementTally(_load_kb(args.kb))
     try:
         store = FactStore(
             n_shards=args.shards,
@@ -775,49 +689,43 @@ def _cmd_fuse(args) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error))
-    tally = None
-    if args.kb is not None:
-        tally = AgreementTally(load_kb(args.kb))
     try:
-        source = sys.stdin if args.input == "-" else open(
-            args.input, "r", encoding="utf-8"
+        source = (
+            contextlib.nullcontext(sys.stdin) if args.input == "-"
+            else open(args.input, encoding="utf-8")
         )
-    except FileNotFoundError as error:
+    except OSError as error:
         raise SystemExit(str(error))
     seen_sites: set[str] = set()
     # The with-block guarantees spill files are removed even when a bad
     # row aborts the run before finalize().
-    with store:
-        try:
-            for line_no, line in enumerate(source, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    if not isinstance(row, dict):
-                        raise TypeError(f"row is {type(row).__name__}, not an object")
-                    # --site is a fallback for label-less extract/serve
-                    # rows; a row's own site label always wins.
-                    site = row.get("site") or args.site
-                    if not site:
-                        raise KeyError("site")
-                    store.add_row(row, site)
-                except (json.JSONDecodeError, AttributeError, KeyError,
-                        TypeError, ValueError) as exc:
-                    raise SystemExit(
-                        f"{args.input}:{line_no}: bad extraction row "
-                        f"(need site/subject/predicate/object/confidence; "
-                        f"--site supplies a missing site label): {exc}"
-                    )
-                seen_sites.add(site)
-                if tally is not None:
-                    tally.observe(
-                        site, row["subject"], row["predicate"], row["object"]
-                    )
-        finally:
-            if source is not sys.stdin:
-                source.close()
+    with store, source as lines:
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise TypeError(f"row is {type(row).__name__}, not an object")
+                # --site is a fallback for label-less extract/serve
+                # rows; a row's own site label always wins.
+                site = row.get("site") or args.site
+                if not site:
+                    raise KeyError("site")
+                store.add_row(row, site)
+            except (json.JSONDecodeError, AttributeError, KeyError,
+                    TypeError, ValueError) as exc:
+                raise SystemExit(
+                    f"{args.input}:{line_no}: bad extraction row "
+                    f"(need site/subject/predicate/object/confidence; "
+                    f"--site supplies a missing site label): {exc}"
+                )
+            seen_sites.add(site)
+            if tally is not None:
+                tally.observe(
+                    site, row["subject"], row["predicate"], row["object"]
+                )
 
         if tally is not None:
             # Every site gets a weight — an unadjudicated site (no
@@ -830,12 +738,8 @@ def _cmd_fuse(args) -> int:
         facts = store.finalize(
             min_score=args.min_score, min_sites=args.min_sites
         )
-    sink = _open_sink(args.output)
-    try:
+    with _open_sink(args.output) as sink:
         n_facts = write_fused_jsonl(facts, sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
     stats = store.stats()
     print(
         f"[repro] fused {stats['rows']} extraction row(s) into "
@@ -852,13 +756,9 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from repro.runtime import ExtractionService, RegistryError
+    from repro.runtime import RegistryError
 
-    if args.max_resident_sites is not None and args.max_resident_sites < 1:
-        raise SystemExit("--max-resident-sites must be >= 1")
-    service = ExtractionService(
-        args.registry, max_resident_sites=args.max_resident_sites
-    )
+    service = _service(args)
     # Metrics are always on for stats — rendering a registry snapshot is
     # the command's whole point.  scoped() keeps it local and restores
     # whatever state the caller had.
@@ -892,11 +792,7 @@ def _cmd_stats(args) -> int:
 def _cmd_run_corpus(args) -> int:
     from repro.runtime import discover_corpus, run_corpus
 
-    config = CeresConfig(
-        confidence_threshold=args.threshold,
-        use_template_clustering=not args.no_template_clustering,
-        **_annotation_overrides(args),
-    )
+    config = _config(args)
     if args.resume and args.run_dir is None:
         raise SystemExit("--resume requires --run-dir")
     if args.max_attempts < 1:
@@ -905,54 +801,49 @@ def _cmd_run_corpus(args) -> int:
         raise SystemExit("--retry-backoff must be >= 0 seconds")
     if args.site_timeout is not None and args.site_timeout <= 0:
         raise SystemExit("--site-timeout must be > 0 seconds")
-    # Validate the corpus before _open_sink truncates a prior output file.
+    # Validate the corpus and the KB before _open_sink truncates a prior
+    # output file; the KB is only opened, since the site runs parse it.
     try:
         discover_corpus(args.corpus)
-    except (FileNotFoundError, ValueError) as error:
+        open(args.kb, "rb").close()
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error))
     store = None
     if args.fuse_output is not None:
         from repro.fusion import FactStore
 
         store = FactStore(use_reliability=not args.no_fuse_reliability)
-    sink = _open_sink(args.output)
     fused_note = ""
     try:
-        try:
-            reports = run_corpus(
-                args.corpus,
-                args.kb,
-                args.registry,
-                config=config,
-                threshold=args.threshold,
-                max_workers=args.workers,
-                output=sink,
-                fuse=store,
-                train_global=args.train_global,
-                log=lambda line: print(f"[repro] {line}", file=sys.stderr),
-                run_dir=args.run_dir,
-                resume=args.resume,
-                site_timeout=args.site_timeout,
-                max_attempts=args.max_attempts,
-                retry_backoff=args.retry_backoff,
-            )
-        except (FileNotFoundError, ValueError) as error:
-            raise SystemExit(str(error))
-        finally:
-            if sink is not sys.stdout:
-                sink.close()
+        with _open_sink(args.output) as sink:
+            try:
+                reports = run_corpus(
+                    args.corpus,
+                    args.kb,
+                    args.registry,
+                    config=config,
+                    threshold=args.threshold,
+                    max_workers=args.workers,
+                    output=sink,
+                    fuse=store,
+                    train_global=args.train_global,
+                    log=lambda line: print(f"[repro] {line}", file=sys.stderr),
+                    run_dir=args.run_dir,
+                    resume=args.resume,
+                    site_timeout=args.site_timeout,
+                    max_attempts=args.max_attempts,
+                    retry_backoff=args.retry_backoff,
+                )
+            except (FileNotFoundError, ValueError) as error:
+                raise SystemExit(str(error))
         if store is not None:
             from repro.fusion import write_fused_jsonl
 
             facts = store.finalize(
                 min_score=args.fuse_min_score, min_sites=args.fuse_min_sites
             )
-            fused_sink = _open_sink(args.fuse_output)
-            try:
+            with _open_sink(args.fuse_output) as fused_sink:
                 n_facts = write_fused_jsonl(facts, fused_sink)
-            finally:
-                if fused_sink is not sys.stdout:
-                    fused_sink.close()
             fused_note = f", {n_facts} fused fact(s) → {args.fuse_output}"
     finally:
         if store is not None:

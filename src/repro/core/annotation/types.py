@@ -46,8 +46,3 @@ class AnnotatedPage:
     topic_entity_id: str
     topic_node: TextNode
     annotations: list[Annotation] = field(default_factory=list)
-
-    @property
-    def relation_annotation_count(self) -> int:
-        """Number of relation annotations (the informativeness criterion)."""
-        return len(self.annotations)

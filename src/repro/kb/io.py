@@ -97,5 +97,12 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    """Read a KB from a UTF-8 JSON file (whatever the locale's encoding)."""
-    return kb_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a KB from a UTF-8 JSON file (whatever the locale's encoding).
+
+    Raises ``ValueError`` when the file is not JSON or its top level is
+    not an object, and what :func:`kb_from_dict` raises on bad content.
+    """
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"a KB file holds a JSON object, not {type(data).__name__}")
+    return kb_from_dict(data)

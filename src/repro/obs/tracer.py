@@ -125,9 +125,6 @@ class Tracer:
     def clear(self) -> None:
         self._finished.clear()
 
-    def write_jsonl(self, sink: IO[str]) -> int:
-        return write_spans_jsonl(self.export(), sink)
-
 
 def write_spans_jsonl(spans: Iterable[dict], sink: IO[str]) -> int:
     """One span dict per line; returns the number of lines written."""

@@ -122,10 +122,6 @@ class LRUCache(Generic[K, V]):
             self._entries.popitem(last=False)
             self._evictions += 1
 
-    def peek(self, key: K, default: V | None = None) -> V | None:
-        """Read a value without touching recency or counters (stats paths)."""
-        return self._entries.get(key, default)
-
     def pop(self, key: K, default: V | None = None) -> V | None:
         """Remove and return an entry (not counted as an eviction)."""
         return self._entries.pop(key, default)

@@ -792,11 +792,12 @@ def run_corpus(
             # Re-annotates the corpus in this process: workers cannot ship
             # their example streams home, and global training is a once-
             # per-corpus cost, not a per-site one.
+            from repro.kb.io import load_kb
             from repro.transfer.trainer import train_global_from_corpus
 
             train_global_from_corpus(
                 corpus,
-                kb_path,
+                load_kb(kb_path),
                 config=config_from_dict(config_data),
                 registry_root=registry,
                 log=log,

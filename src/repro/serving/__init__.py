@@ -12,34 +12,38 @@ notes and the README's "Online serving" section for the runbook.
 
 from __future__ import annotations
 
-from repro.serving.batching import (
-    OFFER_ACCEPTED,
-    OFFER_CLOSED,
-    OFFER_FULL,
-    AdmissionQueue,
-    PendingRequest,
-)
-from repro.serving.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerBoard,
-    CircuitBreaker,
-)
-from repro.serving.config import ServingConfig
-from repro.serving.server import ServingServer
+import importlib
 
-__all__ = [
-    "CLOSED",
-    "HALF_OPEN",
-    "OFFER_ACCEPTED",
-    "OFFER_CLOSED",
-    "OFFER_FULL",
-    "OPEN",
-    "AdmissionQueue",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "PendingRequest",
-    "ServingConfig",
-    "ServingServer",
-]
+#: export name -> defining submodule.  Exports resolve lazily (PEP 562),
+#: as in :mod:`repro.runtime`: the CLI reads :class:`ServingConfig` to
+#: build its parser, and every other command must not pay for importing
+#: the HTTP server.
+_EXPORTS = {
+    "AdmissionQueue": "repro.serving.batching",
+    "OFFER_ACCEPTED": "repro.serving.batching",
+    "OFFER_CLOSED": "repro.serving.batching",
+    "OFFER_FULL": "repro.serving.batching",
+    "PendingRequest": "repro.serving.batching",
+    "BreakerBoard": "repro.serving.breaker",
+    "CLOSED": "repro.serving.breaker",
+    "CircuitBreaker": "repro.serving.breaker",
+    "HALF_OPEN": "repro.serving.breaker",
+    "OPEN": "repro.serving.breaker",
+    "ServingConfig": "repro.serving.config",
+    "ServingServer": "repro.serving.server",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache so subsequent access skips __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

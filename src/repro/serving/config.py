@@ -1,6 +1,8 @@
 """Knobs for the resilient online serving tier (``serve-http``).
 
-Every field maps to a CLI flag; defaults are sized for a laptop-scale
+The CLI generates one ``serve-http`` flag per field (``--max-queue-depth``
+for ``max_queue_depth``; ``workers`` is ``--threads``), with the type
+and default declared here.  Defaults are sized for a laptop-scale
 deployment and are deliberately conservative about memory (bounded
 queue) and latency (short linger).  :class:`ServingConfig` is frozen —
 the server reads it from many threads.
@@ -73,6 +75,8 @@ class ServingConfig:
     max_parse_nodes: int | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in 0..65535")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_queue_depth < 1:

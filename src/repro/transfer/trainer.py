@@ -108,7 +108,7 @@ def train_global(
 
 def train_global_from_corpus(
     corpus: str | Path,
-    kb_path: str | Path,
+    kb: KnowledgeBase,
     *,
     config: CeresConfig | None = None,
     registry_root: str | Path | None = None,
@@ -123,15 +123,13 @@ def train_global_from_corpus(
     artifact.  Returns the model and the artifact path (None when not
     persisted).
     """
-    # Lazy imports: the runner stack pulls in the serving layer, which
+    # Lazy import: the runner stack pulls in the serving layer, which
     # imports this package lazily in turn — keep module import acyclic.
-    from repro.kb.io import load_kb
     from repro.runtime.runner import discover_corpus, load_site_documents
 
     config = config or CeresConfig()
     emit = log or (lambda message: None)
     excluded = set(exclude)
-    kb = load_kb(str(kb_path))
     predicates = kb.ontology.names()
     pools: list[SiteExamples] = []
     for spec in discover_corpus(corpus):

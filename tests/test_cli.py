@@ -1,14 +1,18 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, main
 from repro.datasets import generate_swde, seed_kb_for
 from repro.kb.io import save_kb
 
@@ -209,6 +213,18 @@ class TestRunCorpusCommand:
                   "--corpus", str(tmp_path / "nothing"),
                   "--registry", str(tmp_path / "models")])
 
+    def test_run_corpus_missing_kb_keeps_prior_output(self, corpus_on_disk, tmp_path):
+        """A missing KB is a usage error before --output is truncated
+        (workers parse the KB, so without this check every site failed)."""
+        _, _, corpus, _ = corpus_on_disk
+        out = tmp_path / "out.jsonl"
+        out.write_text("rows of an earlier run\n")
+        with pytest.raises(SystemExit, match="missing.json"):
+            main(["run-corpus", "--kb", str(tmp_path / "missing.json"),
+                  "--corpus", str(corpus), "--registry", str(tmp_path / "models"),
+                  "--output", str(out), "--workers", "1"])
+        assert out.read_text() == "rows of an earlier run\n"
+
 
 class TestFuseCommand:
     def test_run_corpus_fuse_output_equals_standalone_fuse(
@@ -318,8 +334,10 @@ class TestFuseCommand:
         assert "ignored" not in flagged.read_text()
 
     def test_fuse_missing_input(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["fuse", "--input", str(tmp_path / "nope.jsonl")])
+        # A directory cannot be read as rows either.
+        for source in (tmp_path / "nope.jsonl", tmp_path):
+            with pytest.raises(SystemExit, match=re.escape(str(source))):
+                main(["fuse", "--input", str(source)])
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -423,8 +441,6 @@ class TestMinPredicatePagesFlag:
                   "--output", str(tmp_path / "out.jsonl")])
 
     def test_accepted_by_all_annotation_commands(self):
-        from repro.__main__ import _build_parser
-
         parser = _build_parser()
         for argv in (
             ["extract", "--kb", "k", "--pages", "p", "--min-predicate-pages", "2"],
@@ -435,6 +451,42 @@ class TestMinPredicatePagesFlag:
              "--min-predicate-pages", "2"],
         ):
             assert parser.parse_args(argv).min_predicate_pages == 2
+
+
+BAD_KBS = {
+    "missing": None,
+    "malformed": "{not json",
+    "list": "[]",
+    "entity_without_id": '{"entities": [{"name": "Alien"}]}',
+}
+
+
+class TestBadSeedKb:
+    @pytest.mark.parametrize("kind", sorted(BAD_KBS))
+    @pytest.mark.parametrize(
+        "command", ["annotate", "extract", "fuse", "train", "train-global"]
+    )
+    def test_bad_kb_is_a_usage_error_naming_the_file(
+        self, site_on_disk, tmp_path, command, kind
+    ):
+        _, _, pages_dir = site_on_disk
+        kb_path = tmp_path / f"{kind}.json"
+        if BAD_KBS[kind] is not None:
+            kb_path.write_text(BAD_KBS[kind])
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text("")
+        argv = {
+            "annotate": ["--pages", str(pages_dir)],
+            "extract": ["--pages", str(pages_dir)],
+            "fuse": ["--input", str(rows)],
+            "train": ["--pages", str(pages_dir), "--registry", str(tmp_path)],
+            "train-global": ["--corpus", str(pages_dir.parent),
+                             "--registry", str(tmp_path)],
+        }[command]
+        with pytest.raises(
+            SystemExit, match=re.escape(f"cannot load seed KB {kb_path}:")
+        ):
+            main([command, "--kb", str(kb_path), *argv])
 
 
 class TestSkippedClusterReporting:
@@ -561,6 +613,136 @@ class TestObservabilityFlags:
         assert counters["service.requests"] == 1
         assert counters["service.pages"] == 16
         assert "cache.resident_sites.hits" in counters
+
+
+#: The option surface (every subcommand's flags, dests, types, defaults
+#: and actions) of the hand-written parser that preceded the shared flag
+#: table, dumped by :func:`_option_surface`.
+OPTION_SNAPSHOT = Path(__file__).parent / "golden" / "cli_options.json"
+
+
+def _commands(parser) -> dict:
+    return next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def _option_surface(parser) -> dict:
+    """Every subcommand's options but ``--help``, keyed by flag."""
+    return {
+        name: {
+            " ".join(action.option_strings) or action.dest: {
+                "flags": action.option_strings,
+                "dest": action.dest,
+                "type": getattr(action.type, "__name__", None),
+                "default": action.default,
+                "required": action.required,
+                "action": type(action).__name__,
+                "choices": None if action.choices is None else list(action.choices),
+                "nargs": action.nargs,
+            }
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for name, command in _commands(parser).items()
+    }
+
+
+class TestOptionSurface:
+    def test_options_match_snapshot(self):
+        expected = json.loads(OPTION_SNAPSHOT.read_text())
+        # The two intended differences: serve-http's tuning flags are
+        # generated from ServingConfig, so --threads stores into the
+        # ``workers`` field and --host parses with the field's str type.
+        expected["serve-http"]["--threads"]["dest"] = "workers"
+        expected["serve-http"]["--host"]["type"] = "str"
+        surface = json.loads(json.dumps(_option_surface(_build_parser())))
+        assert surface == expected
+        assert sum(map(len, surface.values())) == 96
+
+    @pytest.mark.parametrize(
+        "command", sorted(json.loads(OPTION_SNAPSHOT.read_text()))
+    )
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {command}")
+
+    def test_parser_does_not_import_the_http_server(self):
+        """Building the parser reads ServingConfig, which must not drag
+        the HTTP server into the start-up of every other command."""
+        probe = (
+            "import sys\n"
+            "import repro.__main__\n"
+            "repro.__main__._build_parser()\n"
+            "print('repro.serving.server' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+class TestServeHttpCommand:
+    def test_one_flag_per_serving_config_field(self, capsys):
+        from repro.serving.config import ServingConfig
+
+        actions = _commands(_build_parser())["serve-http"]._actions
+        with pytest.raises(SystemExit):
+            main(["serve-http", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for field in dataclasses.fields(ServingConfig):
+            (action,) = [a for a in actions if a.dest == field.name]
+            assert action.default == field.default
+            assert f"(default: {field.default})" in help_text
+
+    def test_flags_build_the_serving_config(self, tmp_path, monkeypatch):
+        from repro.serving.config import ServingConfig
+
+        built = []
+
+        class UnboundServer:
+            def __init__(self, service, config):
+                built.append(config)
+
+            def start(self):
+                raise OSError("not binding here")
+
+        monkeypatch.setattr("repro.serving.ServingServer", UnboundServer)
+        with pytest.raises(SystemExit, match="not binding here"):
+            main(["serve-http", "--registry", str(tmp_path), "--threads", "3",
+                  "--batch-linger", "0.2", "--max-parse-depth", "9"])
+        assert built == [
+            ServingConfig(workers=3, batch_linger=0.2, max_parse_depth=9)
+        ]
+
+    def test_busy_port_is_a_usage_error(self, tmp_path):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            with pytest.raises(
+                SystemExit, match=f"cannot serve on 127.0.0.1:{port}"
+            ):
+                main(["serve-http", "--registry", str(tmp_path),
+                      "--port", str(port)])
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_out_of_range_port_is_a_usage_error(self, tmp_path, port):
+        with pytest.raises(SystemExit, match="port must be in 0..65535"):
+            main(["serve-http", "--registry", str(tmp_path), "--port", port])
+
+    @pytest.mark.parametrize("command", ["serve-http", "stats"])
+    def test_max_resident_sites_must_be_positive(self, tmp_path, command):
+        with pytest.raises(SystemExit, match="--max-resident-sites must be >= 1"):
+            main([command, "--registry", str(tmp_path),
+                  "--max-resident-sites", "0"])
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -61,18 +61,6 @@ class TestLRUBasics:
         # pop/clear are not evictions — counters untouched.
         assert cache.stats().evictions == 0
 
-    def test_peek_does_not_touch_recency_or_counters(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        before = cache.stats()
-        assert cache.peek("a") == 1
-        assert cache.peek("missing") is None
-        after = cache.stats()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        cache.put("c", 3)  # "a" was NOT refreshed by peek → evicted
-        assert "a" not in cache
-
 
 class TestStats:
     def test_counters(self):
