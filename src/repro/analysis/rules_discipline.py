@@ -64,9 +64,9 @@ class LockDisciplineRule(Rule):
     summary = "guarded attributes are only touched under their lock"
     rationale = (
         "ExtractionService mutates residency state (_sites, "
-        "_ever_resident) from request threads and the background "
-        "upgrader; an unlocked read races the LRU eviction path and can "
-        "report or revive a site mid-eviction.  The GUARDED_BY registry "
+        "_ever_resident) from concurrent request threads; an unlocked "
+        "read races the LRU eviction path and can report or revive a "
+        "site mid-eviction.  The GUARDED_BY registry "
         "in repro.analysis.rules_discipline declares which attribute "
         "belongs to which lock."
     )

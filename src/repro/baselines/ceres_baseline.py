@@ -117,6 +117,7 @@ class CeresBaseline:
         for page_index, document in enumerate(documents):
             subjects, objects = self._candidate_nodes(document)
             self._charge(len(subjects) * len(objects), f"annotation of page {page_index}")
+            related: set[tuple[TextNode, TextNode]] = set()
             positives_on_page = 0
             for node_s, subject_ids in subjects:
                 for node_o, object_keys in objects:
@@ -128,6 +129,8 @@ class CeresBaseline:
                             predicates |= self._relation_index.get(
                                 (subject_id, object_key), set()
                             )
+                    if predicates:
+                        related.add((node_s, node_o))
                     for predicate in sorted(predicates):
                         examples.append(
                             _PairExample(page_index, node_s, node_o, predicate)
@@ -139,7 +142,7 @@ class CeresBaseline:
                 for _ in range(wanted):
                     node_s, _ = subjects[rng.randrange(len(subjects))]
                     node_o, _ = objects[rng.randrange(len(objects))]
-                    if node_s is node_o:
+                    if node_s is node_o or (node_s, node_o) in related:
                         continue
                     examples.append(
                         _PairExample(page_index, node_s, node_o, OTHER_LABEL)

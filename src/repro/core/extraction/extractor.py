@@ -216,10 +216,6 @@ class ClusterExtractorPool:
     def __bool__(self) -> bool:
         return bool(self._extractors)
 
-    @property
-    def extractors(self) -> list[CeresExtractor]:
-        return list(self._extractors)
-
     def assign(self, signature: frozenset[str]) -> int | None:
         """Index of the most similar cluster, or None if empty."""
         if not self._extractors:

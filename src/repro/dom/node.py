@@ -178,17 +178,6 @@ class ElementNode:
         """Attribute value lookup with a default."""
         return self.attrs.get(attr, default)
 
-    def subtree_size(self) -> int:
-        """Total number of nodes (elements + text) in this subtree."""
-        count = 0
-        stack: list[Node] = [self]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if isinstance(node, ElementNode):
-                stack.extend(node.children)
-        return count
-
     def contains(self, other: Node) -> bool:
         """True if ``other`` is this node or a descendant of it."""
         node: Node | None = other

@@ -308,17 +308,6 @@ class SoftmaxRegression:
             return np.repeat(self.classes_, X.shape[0])
         return self.classes_[np.argmax(self.decision_function(X), axis=1)]
 
-    def log_loss(self, X: sp.spmatrix, y) -> float:
-        """Mean negative log-likelihood of ``y`` under the model."""
-        if self.classes_ is None:
-            raise RuntimeError("model is not fitted")
-        probabilities = self.predict_proba(X)
-        class_index = {label: idx for idx, label in enumerate(self.classes_)}
-        rows = np.arange(len(y))
-        cols = np.array([class_index[label] for label in y])
-        picked = np.clip(probabilities[rows, cols], 1e-12, None)
-        return float(-np.mean(np.log(picked)))
-
 
 def _minimize_lbfgsb(objective, n: int, maxiter: int, pgtol: float) -> np.ndarray:
     """Unbounded L-BFGS-B from ``x0 = 0`` via direct ``setulb`` calls.

@@ -25,11 +25,8 @@ Memory is bounded on both axes of a long-lived server:
 Zero-shot fallback (``transfer_fallback=True``): a request for a site
 with no registry artifact is served immediately from the cross-site
 global model (:mod:`repro.transfer`) at reduced precision — extractions
-come back tagged ``model="transfer"`` — and, when an ``upgrade_hook``
-is installed (usually a
-:class:`~repro.transfer.upgrade.BackgroundUpgrader`), the per-site
-model is trained off-thread and atomically swapped in.  Site residency
-is guarded by a lock so that swap is safe against concurrent serving.
+come back tagged ``model="transfer"``.  Site residency is guarded by a
+lock, because ``serve-http`` request threads share one service.
 
 :meth:`ExtractionService.cache_stats` exposes the site-residency
 counters; the CLI (``python -m repro stats``) reads it.
@@ -40,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.config import CeresConfig
@@ -102,8 +99,8 @@ class ExtractionService:
             max_resident_sites, name="resident_sites"
         )
         #: Guards the residency LRU and the served-site history — the
-        #: background upgrader swaps trained models in from its worker
-        #: thread, and LRU mutation is not atomic.
+        #: serving tier's request threads share them, and LRU mutation is
+        #: not atomic.
         self._residency_lock = threading.RLock()
         #: Sites this process has ever had resident — lets a reload-after-
         #: eviction failure distinguish "deleted mid-run" from "never
@@ -111,20 +108,14 @@ class ExtractionService:
         self._ever_resident: set[str] = set()
         self._transfer_fallback = transfer_fallback
         self._global: GlobalCeresModel | None = None
-        #: Optional ``hook(site, documents)`` invoked after every
-        #: transfer-served request — typically
-        #: :class:`~repro.transfer.upgrade.BackgroundUpgrader`, which
-        #: trains the per-site model off-thread and swaps it in.  Must
-        #: not block: it runs on the serving thread.
-        self.upgrade_hook: Callable[[str, list[Document]], None] | None = None
 
     # -- loading -----------------------------------------------------------
 
     def add_site_model(self, site_model: SiteModel) -> None:
         """Register an in-memory model (e.g. fresh from training).
 
-        Thread-safe: this is also the background upgrader's atomic swap —
-        the next request for the site scores through the new model.
+        Thread-safe: the next request for the site scores through the new
+        model.
         """
         with self._residency_lock:
             self._sites.put(site_model.site, _ResidentSite(site_model))
@@ -262,9 +253,8 @@ class ExtractionService:
         needed: per-page state is bounded and keyed by ``doc_id``.
 
         With ``transfer_fallback`` on, a site with no artifact is served
-        zero-shot from the global model instead (tagged
-        ``model="transfer"``), and the ``upgrade_hook`` — if any — is
-        invited to train the real model in the background.
+        zero-shot from the global model instead, through
+        :meth:`extract_pages_transfer`.
         """
         try:
             pool = self.pool(site)
@@ -276,10 +266,9 @@ class ExtractionService:
                 # load (corrupt / wrong version) — absence is servable,
                 # damage is not.
                 raise
-            global_model = self.global_model()
-            if global_model is None:
+            if self.global_model() is None:
                 raise
-            return self._extract_transfer(site, documents, threshold, global_model)
+            return self.extract_pages_transfer(site, documents, threshold)
         with obs.span(
             "service.extract_pages", site=site, pages=len(documents)
         ) as request_span:
@@ -300,13 +289,11 @@ class ExtractionService:
         """Serve one request zero-shot through the global model,
         *regardless* of whether a per-site artifact exists.
 
-        This is the serving tier's graceful-degradation path: a site
-        whose per-site model keeps failing (circuit breaker open) is
-        served from the cross-site transfer model — rows tagged
-        ``model="transfer"`` — instead of 500ing.  Unlike the implicit
-        absence fallback in :meth:`extract_pages`, the ``upgrade_hook``
-        is *not* invited: the per-site model exists and is suspect, so
-        retraining policy belongs to whoever opened the breaker.
+        Two routes lead here: the absence fallback in
+        :meth:`extract_pages`, and the serving tier's graceful-degradation
+        path — a site whose per-site model keeps failing (circuit breaker
+        open) is served from the cross-site transfer model instead of
+        500ing.  Rows come back tagged ``model="transfer"``.
 
         Raises :class:`RegistryError` when no global model is available.
         """
@@ -317,19 +304,6 @@ class ExtractionService:
                 f"model is installed (train one with "
                 f"`python -m repro train-global`)"
             )
-        return self._extract_transfer(
-            site, documents, threshold, global_model, invoke_hook=False
-        )
-
-    def _extract_transfer(
-        self,
-        site: str,
-        documents: list[Document],
-        threshold: float | None,
-        global_model: GlobalCeresModel,
-        invoke_hook: bool = True,
-    ) -> list[Extraction]:
-        """Zero-shot serving of one request through the global model."""
         with obs.span(
             "service.transfer_extract", site=site, pages=len(documents)
         ) as request_span:
@@ -340,9 +314,6 @@ class ExtractionService:
         registry.inc("transfer.requests")
         registry.inc("transfer.pages", len(documents))
         registry.inc("transfer.extractions", len(extractions))
-        hook = self.upgrade_hook
-        if invoke_hook and hook is not None:
-            hook(site, documents)
         return extractions
 
     def candidates(
@@ -350,37 +321,3 @@ class ExtractionService:
     ) -> list[PageCandidates]:
         """Unthresholded candidates per page (for sweeps / re-thresholding)."""
         return self.pool(site).candidates(documents)
-
-    # -- fusion ------------------------------------------------------------
-
-    def fused_facts(
-        self,
-        documents_by_site: dict[str, list[Document]],
-        threshold: float | None = None,
-        *,
-        min_score: float = 0.0,
-        min_sites: int = 1,
-        site_reliability: dict[str, float] | None = None,
-    ):
-        """Cross-site fused facts over served extractions.
-
-        Each site's documents are extracted through the warm batched path
-        (loading models from the registry as needed), then fused with the
-        Knowledge-Vault-style noisy-OR (see :mod:`repro.fusion`).  Sites
-        are served in sorted name order and the fused output carries a
-        total deterministic order, so the result is reproducible across
-        calls and residency states.
-
-        Returns a list of :class:`~repro.fusion.fuse.FusedFact`.
-        """
-        # Imported lazily like the trainer stack: minimal serving
-        # deployments that never fuse don't pay for the fusion layer.
-        from repro.fusion.store import FactStore
-
-        store = FactStore(site_reliability=site_reliability)
-        for site in sorted(documents_by_site):
-            store.add_extractions(
-                site,
-                self.extract_pages(site, documents_by_site[site], threshold),
-            )
-        return store.finalize(min_score=min_score, min_sites=min_sites)

@@ -160,18 +160,10 @@ class ServingServer:
     ``_lifecycle`` guards the request gauge and the phase machine.
     """
 
-    def __init__(
-        self,
-        service,
-        config: ServingConfig | None = None,
-        *,
-        ceres_config: CeresConfig | None = None,
-    ) -> None:
+    def __init__(self, service, config: ServingConfig | None = None) -> None:
         self.service = service
         self.config = config or ServingConfig()
-        parse_defaults = ceres_config or getattr(
-            service, "config", None
-        ) or CeresConfig()
+        parse_defaults = CeresConfig()
         self._max_parse_depth = (
             self.config.max_parse_depth
             if self.config.max_parse_depth is not None
@@ -408,6 +400,11 @@ class ServingServer:
             raise _JsonReply(
                 411, {"error": "Content-Length is required"}
             ) from None
+        if length < 0:
+            handler.close_connection = True  # read(-1) would wait for EOF
+            raise _JsonReply(
+                400, {"error": f"Content-Length {length} is negative"}
+            )
         if length > self.config.max_body_bytes:
             handler.close_connection = True  # refuse to read the body
             raise _JsonReply(

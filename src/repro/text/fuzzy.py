@@ -88,7 +88,6 @@ class StringIndex:
 
     def __init__(self) -> None:
         self._index: dict[str, set] = defaultdict(set)
-        self._size = 0
 
     def __len__(self) -> int:
         """Number of distinct indexed variants."""
@@ -97,19 +96,7 @@ class StringIndex:
     def add(self, surface: str, value: V) -> None:
         """Index ``value`` under all variants of ``surface``."""
         for variant in surface_variants(surface):
-            bucket = self._index[variant]
-            if value not in bucket:
-                bucket.add(value)
-                self._size += 1
-
-    def add_exact(self, normalized: str, value: V) -> None:
-        """Index ``value`` under the already-normalized key ``normalized``."""
-        if not normalized:
-            return
-        bucket = self._index[normalized]
-        if value not in bucket:
-            bucket.add(value)
-            self._size += 1
+            self._index[variant].add(value)
 
     def lookup(self, text: str) -> set:
         """Return the union of payloads for all variants of ``text``."""
@@ -128,11 +115,6 @@ class StringIndex:
             if found:
                 result |= found
         return result
-
-    def lookup_normalized(self, normalized: str) -> set:
-        """Return payloads indexed under the exact normalized key."""
-        found = self._index.get(normalized)
-        return set(found) if found else set()
 
     def contains(self, text: str) -> bool:
         """True if any variant of ``text`` has at least one payload."""

@@ -15,11 +15,7 @@ never seen.  This package is that path:
   ``model="transfer"``;
 * :mod:`repro.transfer.trainer` — :func:`~repro.transfer.trainer.train_global`
   over pooled per-site distant supervision, plus the corpus-level entry
-  point behind ``python -m repro train-global``;
-* :mod:`repro.transfer.upgrade` —
-  :class:`~repro.transfer.upgrade.BackgroundUpgrader`, training the
-  per-site model off-thread and atomically swapping it into a live
-  :class:`~repro.runtime.service.ExtractionService`.
+  point behind ``python -m repro train-global``.
 
 Exports resolve lazily (PEP 562), mirroring :mod:`repro.runtime`: the
 serving layer imports pieces of this package without dragging in the
@@ -41,8 +37,6 @@ _EXPORTS = {
     "collect_site_examples": "repro.transfer.trainer",
     "train_global": "repro.transfer.trainer",
     "train_global_from_corpus": "repro.transfer.trainer",
-    "BackgroundUpgrader": "repro.transfer.upgrade",
-    "UpgradeReport": "repro.transfer.upgrade",
 }
 
 __all__ = list(_EXPORTS)

@@ -18,9 +18,8 @@ feature families (depth, layout, predicate overlap, shape) are not
 window-invertible, and the fallback path is the cold path by design.
 
 Extractions are tagged ``model="transfer"`` so downstream consumers
-(fusion, output rows, callers deciding whether to trigger a background
-upgrade) can tell reduced-precision zero-shot triples from per-site
-ones.
+(fusion, output rows, the serving tier's response label) can tell
+reduced-precision zero-shot triples from per-site ones.
 """
 
 from __future__ import annotations

@@ -48,6 +48,20 @@ class TestAnnotation:
         examples = baseline.annotate(docs)
         assert any(e.label == "OTHER" for e in examples)
 
+    def test_negatives_never_repeat_a_related_pair(self):
+        """An OTHER example on a pair the KB relates would teach the
+        classifier that the pair is unrelated."""
+        kb = build_kb()
+        baseline = CeresBaseline(kb, CeresConfig())
+        docs = [parse_html(film_page(i)) for i in range(4)]
+        examples = baseline.annotate(docs)
+        pairs = {
+            label: {(e.subject_node, e.object_node) for e in examples if e.label == label}
+            for label in ("directed_by", "OTHER")
+        }
+        assert pairs["directed_by"] and pairs["OTHER"]
+        assert not pairs["directed_by"] & pairs["OTHER"]
+
     def test_budget_exceeded(self):
         kb = build_kb()
         baseline = CeresBaseline(kb, CeresConfig(), pair_budget=0)

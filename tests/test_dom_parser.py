@@ -154,11 +154,6 @@ class TestNodeApi:
         p = next(e for e in doc.iter_elements() if e.tag == "p")
         assert p.text_content() == "a  b  c"
 
-    def test_subtree_size(self):
-        doc = parse_html("<html><body><p>a</p></body></html>")
-        # html, body, p, text
-        assert doc.root.subtree_size() == 4
-
     def test_contains(self):
         doc = parse_html(SIMPLE)
         div = next(e for e in doc.iter_elements() if e.tag == "div")

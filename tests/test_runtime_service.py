@@ -227,45 +227,6 @@ class TestServiceMisc:
         assert service.extract_pages("empty", []) == []
 
 
-class TestFusedFactQueries:
-    def test_fused_facts_over_served_sites(self, trained_site):
-        """Serving the same model under two site names: every fact gains
-        two-site support and the noisy-OR lifts its score above the best
-        single extraction confidence."""
-        site, config, documents, result = trained_site
-        service = ExtractionService()
-        service.add_site_model(SiteModel.from_result("mirror_a", config, result))
-        service.add_site_model(SiteModel.from_result("mirror_b", config, result))
-        facts = service.fused_facts(
-            {"mirror_a": documents, "mirror_b": documents}
-        )
-        assert facts
-        for fact in facts:
-            assert fact.n_sites == 2
-            assert fact.score >= max(fact.site_support.values())
-        # min_sites filters apply.
-        assert service.fused_facts(
-            {"mirror_a": documents}, min_sites=2
-        ) == []
-
-    def test_fused_facts_deterministic_across_calls(self, trained_site):
-        from repro.fusion import fused_fact_row
-
-        site, config, documents, result = trained_site
-        service = ExtractionService()
-        service.add_site_model(SiteModel.from_result(site, config, result))
-        first = [
-            fused_fact_row(f)
-            for f in service.fused_facts({site: documents})
-        ]
-        second = [
-            fused_fact_row(f)
-            for f in service.fused_facts({site: documents})
-        ]
-        assert first == second
-        assert first
-
-
 class TestSiteResidency:
     def _site_model(self, name):
         return SiteModel(name, CeresConfig(), [])

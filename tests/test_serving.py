@@ -9,6 +9,7 @@ machinery is the thing under test, so nothing is mocked below the
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -394,6 +395,28 @@ class TestHttpServing:
         status, data, _ = _post(serving.port, "{nope")
         assert status == 400
         assert "JSON" in data["error"]
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [(None, 411), (str(1 << 40), 413), ("-1", 400)],
+        ids=["missing", "oversized", "negative"],
+    )
+    def test_bad_content_length_answered_then_closed(
+        self, serving, length, status
+    ):
+        """The body is never read: the answer comes at once on a
+        keep-alive connection, then the server hangs up."""
+        head = "POST /extract HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n"
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
+        with socket.create_connection(
+            ("127.0.0.1", serving.port), timeout=1.0
+        ) as conn:
+            conn.sendall(f"{head}\r\n".encode())
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        assert reply.split(b" ", 2)[1] == str(status).encode()
 
     def test_missing_site_400(self, serving):
         status, _, _ = _post(serving.port, {"pages": [{"html": "<p>x</p>"}]})

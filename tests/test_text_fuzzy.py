@@ -89,18 +89,6 @@ class TestStringIndex:
         assert index.contains("spike lee")
         assert not index.contains("joe")
 
-    def test_add_exact(self):
-        index = StringIndex()
-        index.add_exact("already normalized", 1)
-        assert index.lookup_normalized("already normalized") == {1}
-        # add_exact does not generate variants.
-        assert index.lookup_normalized("already") == set()
-
-    def test_add_exact_empty_ignored(self):
-        index = StringIndex()
-        index.add_exact("", 1)
-        assert len(index) == 0
-
     def test_update(self):
         index = StringIndex()
         index.update(["A Film", "Le Film"], "m3")

@@ -1,14 +1,12 @@
-"""Cross-site transfer: xfer-only features, zero-shot serving, upgrades.
+"""Cross-site transfer: xfer-only features and zero-shot serving.
 
 The contract under test: the ``xfer:`` namespace contains nothing
-site-specific (so a model built from it transfers), the global model
-serves sites the registry has never seen (tagged ``model="transfer"``),
-and the background upgrader swaps the real per-site model in without
-the service missing a request.
+site-specific (so a model built from it transfers), and the global model
+serves sites the registry has never seen, and sites whose own model the
+circuit breaker has routed around (tagged ``model="transfer"``).
 """
 
 import json
-import threading
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.core.pipeline import CeresPipeline
 from repro.datasets import generate_swde, seed_kb_for
 from repro.runtime import ExtractionService, ModelRegistry, RegistryError, SiteModel
 from repro.transfer import (
-    BackgroundUpgrader,
     TransferFeatureExtractor,
     collect_site_examples,
     predicate_tokens,
@@ -264,84 +261,30 @@ class TestZeroShotServing:
         assert site_like.keys() - plain.keys() == {"model"}
 
 
-class TestBackgroundUpgrade:
-    def test_upgrade_swaps_in_per_site_model(self, global_setup, tmp_path):
-        dataset, kb, config, model = global_setup
-        registry = ModelRegistry(tmp_path / "models")
-        registry.save_global(model)
-        service = ExtractionService(registry, transfer_fallback=True)
-        unseen = dataset.sites[3]
-        documents = unseen.documents()
-
-        trained = threading.Event()
-
-        def train_site(site, docs):
-            site_model = _train_site_model(kb, config, site, docs)
-            trained.set()
-            return site_model
-
-        upgrader = BackgroundUpgrader(service, train_site)
-        service.upgrade_hook = upgrader
-        try:
-            first = service.extract_pages(unseen.name, documents)
-            assert all(e.model == "transfer" for e in first)
-            assert trained.wait(timeout=60)
-            upgrader.join()
-            assert [r.ok for r in upgrader.reports] == [True]
-            # The artifact was persisted and the live model swapped.
-            assert registry.has(unseen.name)
-            second = service.extract_pages(unseen.name, documents)
-            assert second
-            assert all(e.model == "site" for e in second)
-        finally:
-            upgrader.close()
-
-    def test_each_site_upgrades_at_most_once(self, global_setup, tmp_path):
-        dataset, kb, config, model = global_setup
-        registry = ModelRegistry(tmp_path / "models")
-        registry.save_global(model)
-        service = ExtractionService(registry, transfer_fallback=True)
-        unseen = dataset.sites[3]
-        documents = unseen.documents()[:2]
-        calls: list[str] = []
-
-        def train_site(site, docs):
-            calls.append(site)
-            return _train_site_model(kb, config, site, docs)
-
-        upgrader = BackgroundUpgrader(service, train_site)
-        try:
-            assert upgrader.submit(unseen.name, documents)
-            assert not upgrader.submit(unseen.name, documents)  # dedup
-            upgrader.join()
-            assert calls == [unseen.name]
-        finally:
-            upgrader.close()
-
-    def test_failed_upgrade_reports_and_allows_retry(
-        self, global_setup, tmp_path
+class TestForcedTransfer:
+    def test_extract_pages_transfer_ignores_the_site_model(
+        self, global_setup
     ):
-        dataset, _, _, model = global_setup
-        registry = ModelRegistry(tmp_path / "models")
-        registry.save_global(model)
-        service = ExtractionService(registry, transfer_fallback=True)
-        unseen = dataset.sites[3]
-        documents = unseen.documents()[:2]
-
-        def train_site(site, docs):
-            raise RuntimeError("boom")
-
-        upgrader = BackgroundUpgrader(service, train_site)
-        try:
-            assert upgrader.submit(unseen.name, documents)
-            upgrader.join()
-            assert [r.ok for r in upgrader.reports] == [False]
-            assert "boom" in upgrader.reports[0].error
-            # Failure clears the dedup guard so a later request retries.
-            assert upgrader.submit(unseen.name, documents)
-            upgrader.join()
-        finally:
-            upgrader.close()
+        """The circuit breaker's route: zero-shot even for a site that
+        has its own model, and a named error when no global model is
+        installed."""
+        dataset, kb, config, model = global_setup
+        site = dataset.sites[0]
+        documents = site.documents()
+        service = ExtractionService()
+        service.add_site_model(
+            _train_site_model(kb, config, site.name, documents)
+        )
+        with pytest.raises(RegistryError, match="train-global"):
+            service.extract_pages_transfer(site.name, documents)
+        service.set_global_model(model)
+        assert service.has_site_model(site.name)
+        with obs.scoped(tracing=False, metrics=True) as (_, metrics):
+            extractions = service.extract_pages_transfer(site.name, documents)
+            snapshot = metrics.snapshot()
+        assert extractions
+        assert all(e.model == "transfer" for e in extractions)
+        assert snapshot["counters"]["transfer.requests"] == 1
 
 
 class TestDeletedArtifact:
