@@ -49,7 +49,6 @@ _EXPORTS = {
     "backoff_delay": "repro.runtime.resilience",
     "classify_error": "repro.runtime.resilience",
     "deadline": "repro.runtime.resilience",
-    "soft_deadline": "repro.runtime.resilience",
     "SiteReport": "repro.runtime.runner",
     "SiteSpec": "repro.runtime.runner",
     "discover_corpus": "repro.runtime.runner",

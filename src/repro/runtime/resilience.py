@@ -19,13 +19,16 @@ them:
   tests replay exactly).  ``sleep_backoff`` is the **only** sanctioned
   retry sleep in the codebase; CI greps for bare ``time.sleep`` retry
   loops elsewhere.
-* :func:`deadline` — a per-site wall-clock timeout (SIGALRM-based on the
-  main thread, where the alarm is deliverable; off the main thread it
-  degrades to the cooperative :func:`soft_deadline` check).
-* :func:`soft_deadline` / :class:`Deadline` — a monotonic-clock
-  cooperative deadline usable from *any* thread (the serving tier's
-  request handlers and batch workers), with a timer-armed event as the
-  wake-up fallback for blocked waiters.
+* :func:`deadline` — a per-site wall-clock timeout.  SIGALRM-based on
+  the main thread, where the alarm is deliverable: the one preemptive
+  mechanism, and the only way to stop a site wedged inside a worker.
+  Off the main thread it degrades to a :class:`Deadline` checked when
+  the block exits.
+* :class:`Deadline` — the one cooperative mechanism: a plain
+  monotonic-clock budget usable from *any* thread (the serving tier's
+  request handlers, batch workers and drain).  Code checks it at safe
+  points and sizes its blocking waits by it; nothing runs in the
+  background.
 * :func:`classify_error` — transient (worth retrying: timeouts,
   connection resets, ENOSPC-style OS hiccups, injected transient
   faults) vs overload (the system is busy, not broken: bounded queues
@@ -75,7 +78,6 @@ __all__ = [
     "fsync_directory",
     "site_fingerprint",
     "sleep_backoff",
-    "soft_deadline",
 ]
 
 
@@ -195,39 +197,20 @@ class Deadline:
     Unlike :func:`deadline` (SIGALRM — main-thread-only, preemptive),
     a ``Deadline`` never interrupts anything by itself: code *checks* it
     at safe points (:meth:`check`, :meth:`expired`) and sizes its
-    blocking waits by :meth:`remaining`.  :attr:`expired_event` is a
-    :class:`threading.Event` that :func:`soft_deadline` arms with a
-    timer at expiry, so a waiter multiplexing on it (or on an event via
-    :meth:`wait`) wakes without polling even when nothing else fires.
+    blocking waits by :meth:`remaining` (or waits through :meth:`wait`).
+    ``seconds`` None/<= 0 makes it unbounded: its checks never fire.
     """
 
-    __slots__ = ("seconds", "_expires_at", "expired_event", "_timer")
+    __slots__ = ("seconds", "_expires_at")
 
     def __init__(self, seconds: float | None) -> None:
+        if seconds is not None and seconds <= 0:
+            seconds = None
         #: the budget this deadline was created with (None = unbounded).
         self.seconds = seconds
         self._expires_at = (
             None if seconds is None else time.monotonic() + seconds
         )
-        #: set once the budget is exhausted (by the fallback timer, or by
-        #: the first expiry-observing call on any thread).
-        self.expired_event = threading.Event()
-        self._timer: threading.Timer | None = None
-
-    def _arm_timer(self) -> None:
-        """Start the fallback timer that flips :attr:`expired_event`."""
-        if self.seconds is not None and self._timer is None:
-            self._timer = threading.Timer(
-                self.seconds, self.expired_event.set
-            )
-            self._timer.daemon = True
-            self._timer.start()
-
-    def cancel(self) -> None:
-        """Stop the fallback timer (the guarded block finished)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     def remaining(self) -> float | None:
         """Seconds left (never negative); ``None`` when unbounded."""
@@ -236,20 +219,13 @@ class Deadline:
         return max(0.0, self._expires_at - time.monotonic())
 
     def expired(self) -> bool:
-        """Whether the budget is exhausted (monotonic clock is truth)."""
-        if self._expires_at is None:
-            return False
-        if time.monotonic() >= self._expires_at:
-            self.expired_event.set()
-            return True
-        return False
+        """Whether the budget is exhausted."""
+        return self.remaining() == 0.0
 
     def check(self) -> None:
         """Raise :class:`SiteTimeoutError` if the budget is exhausted."""
         if self.expired():
-            raise SiteTimeoutError(
-                f"soft deadline of {self.seconds}s exceeded"
-            )
+            raise SiteTimeoutError(f"deadline of {self.seconds}s exceeded")
 
     def wait(self, event: threading.Event, grace: float = 0.0) -> bool:
         """Wait for ``event`` up to the remaining budget (+ ``grace``).
@@ -262,25 +238,6 @@ class Deadline:
 
 
 @contextlib.contextmanager
-def soft_deadline(seconds: float | None) -> Iterator[Deadline]:
-    """Cooperative, any-thread counterpart of :func:`deadline`.
-
-    Yields a :class:`Deadline` the guarded code checks at safe points;
-    the fallback timer arms :attr:`Deadline.expired_event` so blocked
-    waiters wake at expiry without polling.  ``seconds`` None/<= 0
-    yields an unbounded deadline (checks never fire), mirroring
-    :func:`deadline`'s no-op contract.
-    """
-    unbounded = seconds is None or seconds <= 0
-    handle = Deadline(None if unbounded else seconds)
-    handle._arm_timer()
-    try:
-        yield handle
-    finally:
-        handle.cancel()
-
-
-@contextlib.contextmanager
 def deadline(seconds: float | None) -> Iterator[Deadline | None]:
     """Raise :class:`SiteTimeoutError` if the block outlives ``seconds``.
 
@@ -288,11 +245,11 @@ def deadline(seconds: float | None) -> Iterator[Deadline | None]:
     hung page read, an injected ``hang`` fault sleeping in C ``sleep``);
     both ``run_corpus`` inline mode and pool workers run site work on
     their process's main thread, where the alarm is deliverable.  Off
-    the main thread (or without SIGALRM) it degrades to the cooperative
-    :func:`soft_deadline`: the block cannot be preempted, but an overrun
-    is still detected — and raised — when the block exits, and the
-    yielded :class:`Deadline` lets cooperative code check mid-flight.
-    A no-op when ``seconds`` is None/<= 0.
+    the main thread (or without SIGALRM) it degrades to a cooperative
+    :class:`Deadline`: the block cannot be preempted, but an overrun is
+    still detected — and raised — when the block exits, and the yielded
+    :class:`Deadline` lets cooperative code check mid-flight.  A no-op
+    when ``seconds`` is None/<= 0.
     """
     if seconds is None or seconds <= 0:
         yield None
@@ -302,9 +259,9 @@ def deadline(seconds: float | None) -> Iterator[Deadline | None]:
         and threading.current_thread() is threading.main_thread()
     )
     if not usable:
-        with soft_deadline(seconds) as handle:
-            yield handle
-            handle.check()
+        handle = Deadline(seconds)
+        yield handle
+        handle.check()
         return
 
     def _expire(signum, frame):  # noqa: ARG001 — signal handler signature

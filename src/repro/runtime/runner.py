@@ -591,7 +591,7 @@ def run_corpus(
     threshold: float | None = None,
     max_workers: int | None = None,
     output: TextIO | None = None,
-    fuse: "FactStore | TextIO | None" = None,
+    fuse: "FactStore | None" = None,
     train_global: bool = False,
     log: Callable[[str], None] | None = None,
     run_dir: str | Path | None = None,
@@ -616,14 +616,10 @@ def run_corpus(
             with ``run_dir`` they are assembled at the end in sorted-site
             order from the journal's rows files, so the bytes are
             deterministic and resume-invariant.
-        fuse: a :class:`~repro.fusion.store.FactStore` ingests each
+        fuse: a :class:`~repro.fusion.store.FactStore` that ingests each
             site's rows (and seed-KB agreement counts) as the site
-            completes — the caller finalizes it; a plain text stream
-            instead receives fused-fact JSONL from a default
-            reliability-weighted store (matching the CLI's
-            ``--fuse-output`` default), finalized after the last site.
-            The fused output is bit-identical regardless of worker
-            completion order.
+            completes; the caller finalizes it.  The fused output is
+            bit-identical regardless of worker completion order.
         train_global: after every site completes, additionally train the
             cross-site global model over the corpus and persist it as the
             registry's global artifact (requires ``registry_root``) —
@@ -665,17 +661,6 @@ def run_corpus(
     # actually traces — they are bulkier to pickle.
     trace = obs.tracing_enabled()
 
-    store = None
-    fused_sink: TextIO | None = None
-    if fuse is not None:
-        from repro.fusion.store import FactStore
-
-        if isinstance(fuse, FactStore):
-            store = fuse
-        else:
-            store = FactStore(use_reliability=True)
-            fused_sink = fuse
-
     journal: resilience.RunJournal | None = None
     fingerprints: dict[str, str] = {}
     skipped: list[SiteReport] = []
@@ -714,9 +699,9 @@ def run_corpus(
         # "replayed rows + fresh rows" fuses byte-identically to an
         # uninterrupted run.
         for report in skipped:
-            if store is not None and report.ok:
-                store.ingest_rows(journal.read_rows(report.site))
-                store.observe_agreement(
+            if fuse is not None and report.ok:
+                fuse.ingest_rows(journal.read_rows(report.site))
+                fuse.observe_agreement(
                     report.site, report.kb_checked, report.kb_agreed
                 )
             emit(report.summary())
@@ -757,9 +742,9 @@ def run_corpus(
                 fingerprint=fingerprints[report.site],
                 report=_journal_view(report),
             )
-        if store is not None and report.ok:
-            store.ingest_rows(payload["rows"])
-            store.observe_agreement(
+        if fuse is not None and report.ok:
+            fuse.ingest_rows(payload["rows"])
+            fuse.observe_agreement(
                 report.site, report.kb_checked, report.kb_agreed
             )
         emit(report.summary())
@@ -778,11 +763,6 @@ def run_corpus(
             ):
                 output.write(journal.read_rows_text(report.site))
             output.flush()
-        if fused_sink is not None:
-            from repro.fusion.store import write_fused_jsonl
-
-            write_fused_jsonl(store.finalize(), fused_sink)
-            fused_sink.flush()
         if train_global:
             if registry is None:
                 raise ValueError(
@@ -877,7 +857,3 @@ def run_corpus(
         _clear_kb_memo()
         if journal is not None:
             journal.close()
-        if fused_sink is not None:
-            # We own this store; close() is a no-op after a clean
-            # finish() but reclaims spill files if the run aborted.
-            store.close()

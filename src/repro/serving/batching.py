@@ -233,14 +233,14 @@ class AdmissionQueue:
 
     def wait_idle(self, timeout: float) -> bool:
         """Wait until nothing is queued or claimed; False on timeout."""
-        idle = Deadline(timeout)
         with self._lock:
-            while self._pending or self._active_sites:
-                remaining = idle.remaining()
-                if remaining is None or remaining <= 0:
-                    return False
-                self._lock.wait(min(0.1, remaining))
-            return True
+            return self._lock.wait_for(self._idle_locked, timeout)
+
+    def _idle_locked(self) -> bool:
+        # The wait_for predicate: called with the lock held, re-entered
+        # like _pick_unclaimed_locked.
+        with self._lock:
+            return not self._pending and not self._active_sites
 
     def stats(self) -> dict:
         with self._lock:

@@ -10,7 +10,8 @@ the server reads it from many threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from threading import TIMEOUT_MAX
 
 __all__ = ["ServingConfig"]
 
@@ -44,6 +45,8 @@ class ServingConfig:
     #: whose budget runs out is answered 504 — by the worker if it is
     #: still queued, by the handler if the worker is wedged.  Clients
     #: may request *less* via a ``deadline`` body field, never more.
+    #: The same budget bounds each wait for the request body: a body
+    #: that stalls short of its ``Content-Length`` is answered 408.
     request_deadline: float = 30.0
 
     # --- cross-request micro-batching ---
@@ -75,8 +78,21 @@ class ServingConfig:
     max_parse_nodes: int | None = None
 
     def __post_init__(self) -> None:
+        # Every float field is a duration in seconds.  The range check
+        # also refuses NaN; its top is the longest wait a lock or a
+        # socket timeout accepts.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, float) and not (
+                0 <= value <= TIMEOUT_MAX
+            ):
+                raise ValueError(
+                    f"{field.name} must be in 0..{TIMEOUT_MAX:.0f} seconds"
+                )
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0..65535")
+        if self.max_body_bytes < 0:
+            raise ValueError("max_body_bytes must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_queue_depth < 1:
@@ -89,7 +105,5 @@ class ServingConfig:
             raise ValueError("breaker_failures must be >= 1")
         if self.breaker_probes < 1:
             raise ValueError("breaker_probes must be >= 1")
-        if self.breaker_cooldown < 0 or self.batch_linger < 0:
-            raise ValueError("durations must be >= 0")
         if self.drain_timeout <= 0:
             raise ValueError("drain_timeout must be > 0 seconds")

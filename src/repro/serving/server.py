@@ -39,7 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro import obs
 from repro.core.config import CeresConfig
 from repro.dom.parser import ParseLimitError, parse_html
-from repro.runtime.resilience import classify_error, soft_deadline
+from repro.runtime.resilience import Deadline, classify_error
 from repro.runtime.runner import extraction_row
 from repro.serving.batching import (
     OFFER_ACCEPTED,
@@ -100,6 +100,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             if retry_after is not None:
                 self.send_header("Retry-After", str(math.ceil(retry_after)))
+            if self.close_connection:  # a keep-alive client must reconnect
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except OSError:
@@ -126,6 +128,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         app = self.server.app
         if self.path != "/extract":
+            self.close_connection = True  # body never read
             self._reply(404, {"error": f"no such endpoint: {self.path}"})
             return
         with obs.metrics().timer("serving.request_seconds"):
@@ -240,11 +243,13 @@ class ServingServer:
         ).start()
 
     def _drain(self) -> None:
-        with soft_deadline(self.config.drain_timeout) as budget:
-            clean = self.queue.wait_idle(
-                budget.remaining() or self.config.drain_timeout
+        budget = Deadline(self.config.drain_timeout)
+        clean = self.queue.wait_idle(budget.remaining())
+        with self._lifecycle:
+            idle = self._lifecycle.wait_for(
+                self._no_inflight_locked, budget.remaining()
             )
-            clean = self._wait_inflight(budget) and clean
+        clean = clean and idle
         if not clean:
             # Forced drain: whatever is still queued gets a definitive
             # 503 now rather than a hang; in-flight batches keep their
@@ -275,28 +280,16 @@ class ServingServer:
             self._phase = PHASE_STOPPED
         self._stopped_event.set()
 
-    def _wait_inflight(self, budget) -> bool:
+    def _no_inflight_locked(self) -> bool:
+        # The wait_for predicate: called with _lifecycle held; the
+        # re-entrant `with` keeps the lock discipline lexically checkable.
         with self._lifecycle:
-            while self._inflight > 0:
-                remaining = budget.remaining()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._lifecycle.wait(
-                    0.1 if remaining is None else min(0.1, remaining)
-                )
-            return True
+            return self._inflight == 0
 
     def wait_stopped(self, timeout: float | None = None) -> bool:
-        """Block until the drain completes (signal-friendly polling)."""
-        with soft_deadline(timeout) as budget:
-            while not self._stopped_event.is_set():
-                remaining = budget.remaining()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._stopped_event.wait(
-                    0.2 if remaining is None else min(0.2, remaining)
-                )
-        return True
+        """Block until the drain completes; False if ``timeout`` passes
+        first.  A signal interrupts the wait, so its handler still runs."""
+        return self._stopped_event.wait(timeout)
 
     def stop(self, timeout: float = 10.0) -> bool:
         """Drain and wait for the server to stop (test convenience)."""
@@ -329,48 +322,45 @@ class ServingServer:
                 retry_after=self.config.retry_after,
             )
         registry = obs.metrics()
-        with soft_deadline(deadline_s) as request_deadline:
-            request = PendingRequest(
-                site=site,
-                documents=documents,
-                threshold=threshold,
-                deadline=request_deadline,
+        request = PendingRequest(
+            site=site,
+            documents=documents,
+            threshold=threshold,
+            deadline=Deadline(deadline_s),
+        )
+        verdict = self.queue.offer(request)
+        if verdict == OFFER_FULL:
+            registry.inc("serving.shed")
+            raise _JsonReply(
+                429,
+                {"error": "admission queue is full", "category": "overload"},
+                retry_after=self.config.retry_after,
             )
-            verdict = self.queue.offer(request)
-            if verdict == OFFER_FULL:
-                registry.inc("serving.shed")
-                raise _JsonReply(
-                    429,
-                    {"error": "admission queue is full", "category": "overload"},
-                    retry_after=self.config.retry_after,
-                )
-            if verdict != OFFER_ACCEPTED:
-                raise _JsonReply(
-                    503,
-                    {"error": "server is draining", "category": "overload"},
-                    retry_after=self.config.retry_after,
-                )
-            registry.inc("serving.accepted")
-            registry.observe(
-                "serving.queue_depth", self.queue.stats()["depth"]
+        if verdict != OFFER_ACCEPTED:
+            raise _JsonReply(
+                503,
+                {"error": "server is draining", "category": "overload"},
+                retry_after=self.config.retry_after,
             )
-            self._begin_request()
-            try:
-                fulfilled = request.wait()
-                if not fulfilled and request.forsake():
-                    registry.inc("serving.deadline_expired")
-                    raise _JsonReply(
-                        504,
-                        {
-                            "error": (
-                                f"deadline of {deadline_s}s expired before "
-                                "a worker could answer"
-                            ),
-                            "category": "overload",
-                        },
-                    )
-            finally:
-                self._end_request()
+        registry.inc("serving.accepted")
+        registry.observe("serving.queue_depth", self.queue.stats()["depth"])
+        self._begin_request()
+        try:
+            fulfilled = request.wait()
+            if not fulfilled and request.forsake():
+                registry.inc("serving.deadline_expired")
+                raise _JsonReply(
+                    504,
+                    {
+                        "error": (
+                            f"deadline of {deadline_s}s expired before "
+                            "a worker could answer"
+                        ),
+                        "category": "overload",
+                    },
+                )
+        finally:
+            self._end_request()
         outcome = request.outcome
         registry.inc("serving.responses")
         if outcome[0] == "ok":
@@ -416,7 +406,20 @@ class ServingServer:
                     )
                 },
             )
-        body = handler.rfile.read(length)
+        # The request budget bounds each wait for the body (a client
+        # that stops short of Content-Length gets 408); idle keep-alive
+        # waits between requests stay unbounded.
+        budget = self.config.request_deadline
+        handler.connection.settimeout(budget)
+        try:
+            body = handler.rfile.read(length)
+        except TimeoutError:
+            handler.close_connection = True  # the rest of the body is unread
+            raise _JsonReply(
+                408, {"error": f"body stalled for over {budget}s"}
+            ) from None
+        finally:
+            handler.connection.settimeout(None)
         try:
             payload = json.loads(body)
         except ValueError as exc:

@@ -738,6 +738,26 @@ class TestServeHttpCommand:
         with pytest.raises(SystemExit, match="port must be in 0..65535"):
             main(["serve-http", "--registry", str(tmp_path), "--port", port])
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--request-deadline", "inf", "request_deadline must be in 0"),
+            ("--retry-after", "nan", "retry_after must be in 0"),
+            ("--batch-linger", "1e12", "batch_linger must be in 0"),
+            ("--retry-after", "-5", "retry_after must be in 0"),
+            ("--max-body-bytes", "-1", "max_body_bytes must be >= 0"),
+        ],
+        ids=["inf-deadline", "nan-retry-after", "huge-batch-linger",
+             "negative-retry-after", "negative-max-body-bytes"],
+    )
+    def test_out_of_range_value_is_a_usage_error(
+        self, tmp_path, monkeypatch, flag, value, message
+    ):
+        # A value the checks let through must not go on to serve.
+        monkeypatch.setattr("repro.serving.ServingServer", None)
+        with pytest.raises(SystemExit, match=message):
+            main(["serve-http", "--registry", str(tmp_path), flag, value])
+
     @pytest.mark.parametrize("command", ["serve-http", "stats"])
     def test_max_resident_sites_must_be_positive(self, tmp_path, command):
         with pytest.raises(SystemExit, match="--max-resident-sites must be >= 1"):

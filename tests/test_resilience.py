@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.core.config import CeresConfig
 from repro.datasets import generate_swde, seed_kb_for
+from repro.fusion import FactStore, write_fused_jsonl
 from repro.kb.io import save_kb
 from repro.runtime import run_corpus
 from repro.runtime.resilience import (
@@ -31,7 +32,6 @@ from repro.runtime.resilience import (
     config_fingerprint,
     deadline,
     site_fingerprint,
-    soft_deadline,
 )
 from repro.testing.faults import (
     ENV_VAR,
@@ -190,52 +190,42 @@ class TestDeadline:
 
 
 class TestSoftDeadline:
+    """The cooperative :class:`Deadline`: checked, never preemptive."""
+
     def test_check_raises_after_expiry(self):
-        with soft_deadline(0.02) as handle:
-            handle.check()  # within budget: no-op
-            time.sleep(0.05)
-            assert handle.expired()
-            with pytest.raises(SiteTimeoutError):
-                handle.check()
+        handle = Deadline(0.02)
+        handle.check()  # within budget: no-op
+        time.sleep(0.05)
+        assert handle.expired()
+        with pytest.raises(SiteTimeoutError):
+            handle.check()
 
     def test_unbounded_never_expires(self):
         for seconds in (None, 0, -1):
-            with soft_deadline(seconds) as handle:
-                assert handle.remaining() is None
-                assert not handle.expired()
-                handle.check()
+            handle = Deadline(seconds)
+            assert handle.remaining() is None
+            assert not handle.expired()
+            handle.check()
 
     def test_remaining_counts_down_and_floors_at_zero(self):
-        with soft_deadline(0.05) as handle:
-            first = handle.remaining()
-            assert 0 < first <= 0.05
-            time.sleep(0.08)
-            assert handle.remaining() == 0.0
-
-    def test_timer_arms_expired_event(self):
-        """A waiter blocked on the event wakes at expiry without anyone
-        polling expired()."""
-        with soft_deadline(0.05) as handle:
-            assert handle.expired_event.wait(2.0)
+        handle = Deadline(0.05)
+        first = handle.remaining()
+        assert 0 < first <= 0.05
+        time.sleep(0.08)
+        assert handle.remaining() == 0.0
 
     def test_wait_returns_false_on_deadline(self):
         never = threading.Event()
-        with soft_deadline(0.05) as handle:
-            start = time.monotonic()
-            assert handle.wait(never) is False
-            assert time.monotonic() - start < 2.0
+        handle = Deadline(0.05)
+        start = time.monotonic()
+        assert handle.wait(never) is False
+        assert time.monotonic() - start < 2.0
 
     def test_wait_returns_true_when_event_fires(self):
         event = threading.Event()
-        with soft_deadline(5.0) as handle:
-            threading.Timer(0.02, event.set).start()
-            assert handle.wait(event) is True
-
-    def test_standalone_deadline_has_no_timer(self):
-        handle = Deadline(0.02)
-        time.sleep(0.05)
-        assert handle.expired()
-        assert handle.expired_event.is_set()  # set by the observing call
+        handle = Deadline(5.0)
+        threading.Timer(0.02, event.set).start()
+        assert handle.wait(event) is True
 
 
 # ---------------------------------------------------------------------------
@@ -632,15 +622,17 @@ def _journaled_run(corpus_dir, kb_path, run_dir, *, resume=False,
                    max_workers=1, plan=None):
     """One journaled run; returns (reports, output bytes, fused bytes)."""
     output, fused = io.StringIO(), io.StringIO()
-    kwargs = dict(
-        config=CeresConfig(), max_workers=max_workers, output=output,
-        fuse=fused, run_dir=run_dir, resume=resume, retry_backoff=0.001,
-    )
-    if plan is not None:
-        with active(plan):
+    with FactStore(use_reliability=True) as store:
+        kwargs = dict(
+            config=CeresConfig(), max_workers=max_workers, output=output,
+            fuse=store, run_dir=run_dir, resume=resume, retry_backoff=0.001,
+        )
+        if plan is not None:
+            with active(plan):
+                reports = run_corpus(corpus_dir, kb_path, None, **kwargs)
+        else:
             reports = run_corpus(corpus_dir, kb_path, None, **kwargs)
-    else:
-        reports = run_corpus(corpus_dir, kb_path, None, **kwargs)
+        write_fused_jsonl(store.finalize(), fused)
     return reports, output.getvalue(), fused.getvalue()
 
 

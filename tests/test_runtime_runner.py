@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import CeresConfig
 from repro.kb.io import save_kb
 from repro.datasets import generate_swde, seed_kb_for
+from repro.fusion import FactStore, write_fused_jsonl
 from repro.kb import io as kb_io
 from repro.runtime import (
     ModelRegistry,
@@ -339,15 +340,22 @@ class TestSeedKBMemo:
         assert len(kb_parses) == 2
 
 
+def _fused_run(corpus_dir, kb_path, **kwargs) -> tuple[list, str]:
+    """A run fused into a reliability-weighted store, as ``run-corpus
+    --fuse-output`` does; returns (reports, fused JSONL)."""
+    fused_out = io.StringIO()
+    with FactStore(use_reliability=True) as store:
+        reports = run_corpus(corpus_dir, kb_path, None, fuse=store, **kwargs)
+        write_fused_jsonl(store.finalize(), fused_out)
+    return reports, fused_out.getvalue()
+
+
 class TestRunCorpusFusion:
     def test_fuse_stream_writes_fused_rows(self, corpus_on_disk, tmp_path):
         _, kb_path, corpus_dir, _, site_names = corpus_on_disk
-        fused_out = io.StringIO()
-        reports = run_corpus(
-            corpus_dir, kb_path, None, max_workers=1, fuse=fused_out
-        )
+        reports, fused = _fused_run(corpus_dir, kb_path, max_workers=1)
         assert all(report.ok for report in reports)
-        rows = [json.loads(line) for line in fused_out.getvalue().splitlines()]
+        rows = [json.loads(line) for line in fused.splitlines()]
         assert rows
         assert set(rows[0]) == {
             "subject", "predicate", "object", "score", "n_sites", "sites",
@@ -366,15 +374,12 @@ class TestRunCorpusFusion:
         """The acceptance bar: inline and pooled runs fuse to
         byte-identical JSONL despite different completion orders."""
         _, kb_path, corpus_dir, _, _ = corpus_on_disk
-        inline_fused, pooled_fused = io.StringIO(), io.StringIO()
-        run_corpus(corpus_dir, kb_path, None, max_workers=1, fuse=inline_fused)
-        run_corpus(corpus_dir, kb_path, None, max_workers=2, fuse=pooled_fused)
-        assert inline_fused.getvalue() == pooled_fused.getvalue()
-        assert inline_fused.getvalue().strip()
+        _, inline_fused = _fused_run(corpus_dir, kb_path, max_workers=1)
+        _, pooled_fused = _fused_run(corpus_dir, kb_path, max_workers=2)
+        assert inline_fused == pooled_fused
+        assert inline_fused.strip()
 
     def test_factstore_fuse_receives_reliability(self, corpus_on_disk):
-        from repro.fusion import FactStore
-
         _, kb_path, corpus_dir, _, site_names = corpus_on_disk
         store = FactStore(use_reliability=True)
         reports = run_corpus(
@@ -391,8 +396,6 @@ class TestRunCorpusFusion:
     def test_jsonl_roundtrip_equals_in_memory_fusion(self, corpus_on_disk):
         """Full-precision confidence in rows: fusing the JSONL stream is
         byte-identical to fusing the same rows fed directly to a store."""
-        from repro.fusion import FactStore, write_fused_jsonl
-
         _, kb_path, corpus_dir, _, _ = corpus_on_disk
         rows_out, fused_direct = io.StringIO(), io.StringIO()
         store = FactStore()
@@ -539,11 +542,11 @@ class TestRunnerObservability:
         from repro import obs
 
         _, kb_path, corpus_dir, _, site_names = corpus_on_disk
-        fused_out = io.StringIO()
         with obs.scoped(tracing=True, metrics=True) as (tracer, registry):
-            reports = run_corpus(
-                corpus_dir, kb_path, None,
-                max_workers=max_workers, fuse=fused_out,
+            # The store captures its instruments at construction, so it
+            # is built inside the scope.
+            reports, _ = _fused_run(
+                corpus_dir, kb_path, max_workers=max_workers
             )
             counters = registry.snapshot()["counters"]
             histograms = registry.snapshot()["histograms"]

@@ -397,26 +397,62 @@ class TestHttpServing:
         assert "JSON" in data["error"]
 
     @pytest.mark.parametrize(
-        "length, status",
-        [(None, 411), (str(1 << 40), 413), ("-1", 400)],
-        ids=["missing", "oversized", "negative"],
+        "serving, path, length, body, status",
+        [
+            ({}, "/extract", None, "", 411),
+            ({}, "/extract", str(1 << 40), "", 413),
+            ({}, "/extract", "-1", "", 400),
+            (dict(request_deadline=0.5), "/extract", "100", "0123456789", 408),
+            ({}, "/nope", "13", '{"site": "x"}', 404),
+        ],
+        ids=["missing", "oversized", "negative", "short-body", "unknown-path"],
+        indirect=["serving"],
     )
     def test_bad_content_length_answered_then_closed(
-        self, serving, length, status
+        self, serving, path, length, body, status
     ):
-        """The body is never read: the answer comes at once on a
-        keep-alive connection, then the server hangs up."""
-        head = "POST /extract HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n"
+        """The body is not read in full: the answer comes at once (a
+        short body: once the request deadline passes) on a keep-alive
+        connection, says it closes the connection, then hangs up."""
+        head = f"POST {path} HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n"
         if length is not None:
             head += f"Content-Length: {length}\r\n"
         with socket.create_connection(
             ("127.0.0.1", serving.port), timeout=1.0
         ) as conn:
-            conn.sendall(f"{head}\r\n".encode())
+            conn.sendall(f"{head}\r\n{body}".encode())
             reply = b""
             while chunk := conn.recv(4096):
                 reply += chunk
-        assert reply.split(b" ", 2)[1] == str(status).encode()
+        head = reply.split(b"\r\n\r\n", 1)[0]
+        assert head.split(b" ", 2)[1] == str(status).encode()
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+
+    def test_requests_on_one_connection_start_one_thread(
+        self, serving, trained_world, monkeypatch
+    ):
+        """A request's deadline is a clock reading, not a timer: twenty
+        requests on one keep-alive connection start one thread, the
+        connection's handler."""
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        body = json.dumps(_request(trained_world))
+        conn = http.client.HTTPConnection("127.0.0.1", serving.port, timeout=30)
+        try:
+            for _ in range(20):
+                conn.request("POST", "/extract", body=body)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert len(started) == 1, started
 
     def test_missing_site_400(self, serving):
         status, _, _ = _post(serving.port, {"pages": [{"html": "<p>x</p>"}]})
