@@ -146,7 +146,7 @@ _SERVING_HELP = {
     "workers": "batch worker threads",
     "max_queue_depth": "admission queue bound; a full queue sheds with 429 + Retry-After",
     "retry_after": "Retry-After hint on shed (429) and draining (503) responses",
-    "request_deadline": "per-request budget, enqueue to response (504); also each wait for the body (408)",
+    "request_deadline": "per-request budget, enqueue to response (504); also reading the body (408)",
     "batch_max_pages": "page cap per merged cross-request batch",
     "batch_linger": "wait this long for same-site requests to co-batch; 0 scores at once",
     "breaker_failures": "consecutive permanent failures that open a site's breaker",

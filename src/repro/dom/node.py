@@ -103,22 +103,23 @@ class ElementNode:
             node = node.parent
         return node
 
-    def append(self, child: Node) -> None:
-        """Attach ``child`` as the last child, fixing up indices."""
+    def append(self, child: Node, index: int) -> None:
+        """Attach ``child`` as the last child.
+
+        ``index`` is the child's XPath step index, counted by the caller:
+        its ``tag_index`` among same-tag element siblings, or its
+        ``text_index`` among text siblings.  The caller keeps the counts
+        (the parser, per open element) so that an append is O(1) however
+        many siblings a hostile page gives one parent.
+        """
         child.parent = self
         child.child_position = len(self.children)
         if isinstance(child, ElementNode):
-            element_siblings = self._element_children
-            child.tag_index = (
-                sum(1 for sibling in element_siblings if sibling.tag == child.tag)
-                + 1
-            )
-            child.element_index = len(element_siblings)
-            element_siblings.append(child)
+            child.tag_index = index
+            child.element_index = len(self._element_children)
+            self._element_children.append(child)
         else:
-            child.text_index = (
-                sum(1 for sibling in self.children if sibling.is_text) + 1
-            )
+            child.text_index = index
         self.children.append(child)
 
     def ancestors(self, include_self: bool = False) -> Iterator[ElementNode]:

@@ -50,6 +50,9 @@ class ParseLimitError(ValueError):
 #: sequence, which is fine — caches never cross a process boundary.
 _DOC_ID_COUNTER = itertools.count(1)
 
+#: Key of an open element's text-child count; no tag name starts with "#".
+_TEXT = "#text"
+
 #: tag -> set of open tags it implicitly closes when encountered.
 _IMPLICIT_CLOSERS: dict[str, frozenset[str]] = {
     "li": frozenset({"li"}),
@@ -155,7 +158,11 @@ class _TreeBuilder(HTMLParser):
     ) -> None:
         super().__init__(convert_charrefs=True)
         self.synthetic_root = ElementNode("#fragment")
+        #: the open elements, innermost last.  Only they take children,
+        #: so each keeps its children's counts in ``_child_counts`` (same
+        #: depth): same-tag elements per tag, text nodes under ``_TEXT``.
         self._stack: list[ElementNode] = [self.synthetic_root]
+        self._child_counts: list[dict[str, int]] = [{}]
         self._pending_text: list[str] = []
         self._max_depth = max_depth
         self._max_nodes = max_nodes
@@ -168,6 +175,18 @@ class _TreeBuilder(HTMLParser):
                 f"document exceeds max_parse_nodes={self._max_nodes}: "
                 f"refusing to build node {self._n_nodes}"
             )
+
+    def _attach(self, child: ElementNode | TextNode, key: str) -> None:
+        """Append ``child`` to the innermost open element; ``key`` is its
+        tag (or ``_TEXT``), whose count so far gives its XPath index."""
+        counts = self._child_counts[-1]
+        index = counts[key] = counts.get(key, 0) + 1
+        self._stack[-1].append(child, index)
+
+    def _close_to(self, depth: int) -> None:
+        """Close every open element but the outermost ``depth``."""
+        del self._stack[depth:]
+        del self._child_counts[depth:]
 
     # -- text buffering -------------------------------------------------
 
@@ -186,7 +205,7 @@ class _TreeBuilder(HTMLParser):
             if not text:
                 return
             self._count_node()
-            parent.append(TextNode(text))
+            self._attach(TextNode(text), _TEXT)
 
     # -- HTMLParser callbacks --------------------------------------------
 
@@ -195,7 +214,7 @@ class _TreeBuilder(HTMLParser):
         closers = _IMPLICIT_CLOSERS.get(tag)
         if closers:
             while len(self._stack) > 1 and self._stack[-1].tag in closers:
-                self._stack.pop()
+                self._close_to(len(self._stack) - 1)
         if (
             self._max_depth is not None
             and tag not in VOID_ELEMENTS
@@ -207,15 +226,15 @@ class _TreeBuilder(HTMLParser):
             )
         self._count_node()
         element = ElementNode(tag, {k: (v or "") for k, v in attrs})
-        self._stack[-1].append(element)
+        self._attach(element, tag)
         if tag not in VOID_ELEMENTS:
             self._stack.append(element)
+            self._child_counts.append({})
 
     def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
         self._flush_text()
         self._count_node()
-        element = ElementNode(tag, {k: (v or "") for k, v in attrs})
-        self._stack[-1].append(element)
+        self._attach(ElementNode(tag, {k: (v or "") for k, v in attrs}), tag)
 
     def handle_endtag(self, tag: str) -> None:
         self._flush_text()
@@ -224,7 +243,7 @@ class _TreeBuilder(HTMLParser):
         # Pop to the matching open tag; ignore stray end tags entirely.
         for i in range(len(self._stack) - 1, 0, -1):
             if self._stack[i].tag == tag:
-                del self._stack[i:]
+                self._close_to(i)
                 return
 
     def handle_data(self, data: str) -> None:
@@ -238,7 +257,7 @@ class _TreeBuilder(HTMLParser):
     def close(self) -> None:
         super().close()
         self._flush_text()
-        del self._stack[1:]
+        self._close_to(1)
 
 
 def parse_html(

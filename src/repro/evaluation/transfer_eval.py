@@ -10,10 +10,11 @@ evaluated zero-shot on the held-out one, scored node-level against the
 generated ground truth (:func:`~repro.evaluation.scoring.
 extraction_precision` — the same strict protocol Table 8 uses).
 
-Annotation is the expensive step and is site-local, so each site is
-annotated exactly once (:func:`~repro.transfer.trainer.
-collect_site_examples`) and the N folds re-pool the cached example
-streams — N models, one annotation pass.
+Annotation and featurization are site-local, so each site is annotated
+(:func:`~repro.transfer.trainer.collect_site_examples`) and featurized
+(:func:`~repro.transfer.trainer.featurize_site`) exactly once, and the N
+folds re-pool the cached samples (:func:`~repro.transfer.trainer.
+fit_global`) — N models, one annotation pass.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from repro.datasets.swde import SWDEDataset
 from repro.evaluation.report import format_table
 from repro.evaluation.scoring import extraction_precision
 from repro.kb.store import KnowledgeBase
-from repro.transfer.trainer import SiteExamples, collect_site_examples, train_global
+from repro.transfer.features import TransferFeatureExtractor
+from repro.transfer.trainer import collect_site_examples, featurize_site, fit_global
 
 __all__ = ["TransferFold", "loso_folds", "format_loso_table"]
 
@@ -61,25 +63,28 @@ def loso_folds(
     and extracts zero-shot from the held-out site's pages.
     """
     config = config or CeresConfig()
-    predicates = kb.ontology.names()
-    pools: list[SiteExamples] = []
-    for site in dataset.sites:
-        documents = [page.document for page in site.pages]
-        pools.append(collect_site_examples(site.name, kb, documents, config))
+    extractor = TransferFeatureExtractor(kb.ontology.names(), config)
+    featurized = [
+        featurize_site(
+            collect_site_examples(site.name, kb, site.documents(), config),
+            extractor,
+        )
+        for site in dataset.sites
+    ]
 
     folds: list[TransferFold] = []
     for index, site in enumerate(dataset.sites):
-        train_pools = pools[:index] + pools[index + 1 :]
-        model = train_global(train_pools, predicates, config)
-        held_out = pools[index].documents
+        train_sites = featurized[:index] + featurized[index + 1 :]
+        model = fit_global(train_sites, config)
+        held_out = site.documents()
         extractions = model.extract(held_out, threshold)
         correct, total = extraction_precision(extractions, list(site.pages))
         folds.append(
             TransferFold(
                 site=site.name,
                 n_pages=len(held_out),
-                n_train_sites=len(train_pools),
-                n_train_examples=sum(len(p.examples) for p in train_pools),
+                n_train_sites=len(train_sites),
+                n_train_examples=sum(len(pool.labels) for pool in train_sites),
                 correct=correct,
                 total=total,
             )

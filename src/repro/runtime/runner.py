@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 if TYPE_CHECKING:
     from repro.fusion.store import FactStore
     from repro.kb.store import KnowledgeBase
+    from repro.transfer.trainer import SiteSamples
 
 from repro import obs
 from repro.core.config import CeresConfig
@@ -343,10 +344,11 @@ def extraction_row(extraction, page_url: str, site: str | None = None) -> dict:
 
 # -- worker ----------------------------------------------------------------
 
-#: This process's seed KB for the sites it runs: ``(sha256 of the KB
-#: file's bytes, KB)``.  Parsing the KB costs more than most long-tail
-#: sites' page work, so a process parses it once, not once per site; the
-#: content key re-reads a rewritten file.  Private to the runner —
+#: This process's seed KB for the sites it runs or annotates for the
+#: global model: ``(sha256 of the KB file's bytes, KB)``.  Parsing the
+#: KB costs more than most long-tail sites' page work, so a process
+#: parses it once, not once per site; the content key re-reads a
+#: rewritten file.  Private to the runner —
 #: :func:`~repro.kb.io.load_kb` still hands every other caller a fresh
 #: KB — and cleared when :func:`run_corpus` returns.
 _kb_memo: "tuple[str, KnowledgeBase] | None" = None
@@ -398,10 +400,16 @@ def _attempt_site(
     threshold: float | None,
     site_metrics,
     *,
+    global_samples: bool = False,
     isolate_pages: bool = False,
     site_timeout: float | None = None,
-) -> list[dict]:
+) -> tuple[list[dict], SiteSamples | None]:
     """One attempt at a site, end to end; raises on failure.
+
+    Returns the site's extraction rows and, with ``global_samples``, its
+    featurized training examples for the global model
+    (:func:`~repro.transfer.trainer.featurize_site`), built while the
+    parsed pages are at hand so the parent never re-parses the site.
 
     In the normal (full-batch) mode the caller wraps the whole call in a
     single :func:`~repro.runtime.resilience.deadline`.  In degraded
@@ -429,6 +437,15 @@ def _attempt_site(
         report.n_skipped_clusters = result.skipped_clusters
         report.n_skipped_pages = result.skipped_pages
         pipeline.train(documents, result)
+        samples = None
+        if global_samples:
+            from repro.transfer.features import TransferFeatureExtractor
+            from repro.transfer.trainer import SiteExamples, featurize_site
+
+            samples = featurize_site(
+                SiteExamples.from_result(site, pipeline, documents, result),
+                TransferFeatureExtractor(kb.ontology.names(), config),
+            )
         site_model = SiteModel.from_result(site, config, result)
         report.n_clusters = len(site_model.clusters)
 
@@ -469,7 +486,7 @@ def _attempt_site(
         # cumulative per instance).
         service.publish_metrics(site_metrics)
         site_metrics.record_cache(pipeline.matcher.cache_stats())
-    return rows
+    return rows, samples
 
 
 def _run_site(
@@ -483,6 +500,7 @@ def _run_site(
     site_timeout: float | None = None,
     max_attempts: int = 1,
     retry_backoff: float = 0.5,
+    global_samples: bool = False,
 ) -> dict:
     """Process one site with retries and quarantine; never raises.
 
@@ -502,6 +520,11 @@ def _run_site(
     poison pages are quarantined by name and the site completes on the
     survivors — a bad page costs a page, not a site.
 
+    With ``global_samples``, a site that completes in full-batch mode
+    also returns its global-model samples (``"global_samples"``); a
+    degraded site returns none, since its quarantined pages are missing
+    from them.
+
     Telemetry: the site runs under a scoped metrics registry (plus a
     scoped tracer when ``trace`` is set), and the snapshot/spans ride
     home inside the report — each attempt is a ``site.attempt`` span,
@@ -510,6 +533,7 @@ def _run_site(
     """
     report = SiteReport(site=site, ok=False)
     rows: list[dict] = []
+    samples = None
     max_attempts = max(1, max_attempts)
     with obs.scoped(tracing=trace, metrics=True) as (site_tracer, site_metrics):
         timing = site_metrics.timer("runner.site_seconds")
@@ -519,10 +543,10 @@ def _run_site(
                 try:
                     with obs.span("site.attempt", site=site, attempt=attempt):
                         with resilience.deadline(site_timeout):
-                            rows = _attempt_site(
+                            rows, samples = _attempt_site(
                                 report, site, pages_dir, kb_path,
                                 registry_root, config_data, threshold,
-                                site_metrics,
+                                site_metrics, global_samples=global_samples,
                             )
                     report.ok = True
                     report.error = None
@@ -547,7 +571,7 @@ def _run_site(
                         "site.attempt", site=site,
                         attempt=report.attempts + 1, degraded=True,
                     ):
-                        rows = _attempt_site(
+                        rows, _ = _attempt_site(
                             report, site, pages_dir, kb_path,
                             registry_root, config_data, threshold,
                             site_metrics,
@@ -576,7 +600,7 @@ def _run_site(
     # site rather than whenever a full collection next runs.  Cheap,
     # because the memoized KB is frozen out of the walk.
     gc.collect()
-    return {"report": report.__dict__, "rows": rows}
+    return {"report": report.__dict__, "rows": rows, "global_samples": samples}
 
 
 # -- coordinator -----------------------------------------------------------
@@ -620,11 +644,16 @@ def run_corpus(
             site's rows (and seed-KB agreement counts) as the site
             completes; the caller finalizes it.  The fused output is
             bit-identical regardless of worker completion order.
-        train_global: after every site completes, additionally train the
-            cross-site global model over the corpus and persist it as the
-            registry's global artifact (requires ``registry_root``) —
-            future unseen sites can then be served zero-shot via
-            ``serve --transfer-fallback``.
+        train_global: additionally train the cross-site global model
+            over the corpus and persist it as the registry's global
+            artifact (requires ``registry_root``) — future unseen sites
+            can then be served zero-shot via ``serve --transfer-fallback``.
+            Each worker featurizes the training examples of the site it
+            trained; once every site completes, this process pools them
+            in corpus order and fits.  Sites without worker samples
+            (resumed, failed, or degraded) are parsed, annotated and
+            featurized here, so the model does not depend on which sites
+            ran.
         log: per-site progress callback (e.g. ``print`` to stderr).
         run_dir: per-run directory for the crash-safe journal and
             per-site rows (see :class:`~repro.runtime.resilience.
@@ -650,6 +679,11 @@ def run_corpus(
     config_data = config_to_dict(config or CeresConfig())
     registry = str(registry_root) if registry_root is not None else None
     emit = log or (lambda message: None)
+    if train_global and registry is None:
+        raise ValueError(
+            "train_global requires registry_root (the global artifact "
+            "needs somewhere to live)"
+        )
     if resume and run_dir is None:
         raise ValueError("resume=True requires run_dir")
     if max_attempts < 1:
@@ -715,8 +749,13 @@ def run_corpus(
                 fingerprint=fingerprints[spec.site],
             )
 
+    #: site -> its worker's global-model samples (``train_global`` only).
+    featurized: dict[str, SiteSamples] = {}
+
     def handle(payload: dict) -> SiteReport:
         report = SiteReport(**payload["report"])
+        if payload["global_samples"] is not None:
+            featurized[report.site] = payload["global_samples"]
         # Fold the worker's telemetry into the parent's instruments —
         # both are no-ops when the parent runs with obs disabled.
         if report.metrics:
@@ -764,23 +803,19 @@ def run_corpus(
                 output.write(journal.read_rows_text(report.site))
             output.flush()
         if train_global:
-            if registry is None:
-                raise ValueError(
-                    "train_global requires registry_root (the global "
-                    "artifact needs somewhere to live)"
-                )
-            # Re-annotates the corpus in this process: workers cannot ship
-            # their example streams home, and global training is a once-
-            # per-corpus cost, not a per-site one.
-            from repro.kb.io import load_kb
+            # The workers shipped the samples of the sites they trained;
+            # only the other sites are annotated here, and only they need
+            # the KB (already memoized when the sites ran inline).
             from repro.transfer.trainer import train_global_from_corpus
 
+            annotate_here = any(spec.site not in featurized for spec in specs)
             train_global_from_corpus(
                 corpus,
-                load_kb(kb_path),
+                _memoized_kb(str(kb_path)) if annotate_here else None,
                 config=config_from_dict(config_data),
                 registry_root=registry,
                 log=log,
+                featurized=featurized,
             )
         return reports
 
@@ -788,6 +823,7 @@ def run_corpus(
         site_timeout=site_timeout,
         max_attempts=max_attempts,
         retry_backoff=retry_backoff,
+        global_samples=train_global,
     )
     reports: list[SiteReport] = list(skipped)
     try:
@@ -850,6 +886,7 @@ def run_corpus(
                             },
                         ).__dict__,
                         "rows": [],
+                        "global_samples": None,
                     }
                 reports.append(handle(payload))
         return finish(reports)

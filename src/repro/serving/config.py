@@ -45,8 +45,8 @@ class ServingConfig:
     #: whose budget runs out is answered 504 — by the worker if it is
     #: still queued, by the handler if the worker is wedged.  Clients
     #: may request *less* via a ``deadline`` body field, never more.
-    #: The same budget bounds each wait for the request body: a body
-    #: that stalls short of its ``Content-Length`` is answered 408.
+    #: The same budget bounds reading the whole request body: a body
+    #: not received in full within it is answered 408.
     request_deadline: float = 30.0
 
     # --- cross-request micro-batching ---

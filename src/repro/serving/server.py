@@ -406,20 +406,34 @@ class ServingServer:
                     )
                 },
             )
-        # The request budget bounds each wait for the body (a client
-        # that stops short of Content-Length gets 408); idle keep-alive
+        # The request budget bounds the whole body read (a client that
+        # stops short of Content-Length, or trickles it, gets 408): the
+        # socket timeout only bounds one wait for data, so it is re-armed
+        # from the remaining budget before each chunk.  Idle keep-alive
         # waits between requests stay unbounded.
-        budget = self.config.request_deadline
-        handler.connection.settimeout(budget)
+        budget = Deadline(self.config.request_deadline)
+        chunks: list[bytes] = []
+        unread = length
         try:
-            body = handler.rfile.read(length)
+            while unread:
+                left = budget.remaining()
+                if not left:
+                    raise TimeoutError
+                handler.connection.settimeout(left)
+                chunk = handler.rfile.read1(unread)
+                if not chunk:  # EOF: the short body fails to parse below
+                    break
+                chunks.append(chunk)
+                unread -= len(chunk)
         except TimeoutError:
             handler.close_connection = True  # the rest of the body is unread
             raise _JsonReply(
-                408, {"error": f"body stalled for over {budget}s"}
+                408,
+                {"error": f"body not received within {budget.seconds}s"},
             ) from None
         finally:
             handler.connection.settimeout(None)
+        body = b"".join(chunks)
         try:
             payload = json.loads(body)
         except ValueError as exc:

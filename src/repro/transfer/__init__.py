@@ -14,8 +14,11 @@ never seen.  This package is that path:
   through the standard candidate-assembly path with extractions tagged
   ``model="transfer"``;
 * :mod:`repro.transfer.trainer` — :func:`~repro.transfer.trainer.train_global`
-  over pooled per-site distant supervision, plus the corpus-level entry
-  point behind ``python -m repro train-global``.
+  over pooled per-site distant supervision, in two steps (per-site
+  :func:`~repro.transfer.trainer.featurize_site`, then
+  :func:`~repro.transfer.trainer.fit_global`), plus the corpus-level
+  entry point behind ``python -m repro train-global`` and
+  ``run-corpus --train-global``.
 
 Exports resolve lazily (PEP 562), mirroring :mod:`repro.runtime`: the
 serving layer imports pieces of this package without dragging in the

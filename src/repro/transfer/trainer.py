@@ -6,18 +6,27 @@ sampling via :meth:`~repro.core.pipeline.CeresPipeline.cluster_examples`
 — but pools the examples of many sites and represents every node with
 ``xfer:`` features only (:mod:`repro.transfer.features`).  What changes
 between sites is exactly what the representation cannot see.
+
+Training runs in two steps.  :func:`featurize_site` turns one site's
+examples into :class:`SiteSamples` (feature dicts and labels, plain
+data) while the site's parsed pages are at hand; :func:`fit_global`
+pools the sites' samples, vectorizes them and fits the classifier.
+``run-corpus --train-global`` featurizes each site in the worker that
+trained it and fits in the parent; ``train-global`` and the
+leave-one-site-out evaluation run both steps in one process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro import obs
 from repro.core.annotation.examples import TrainingExample
 from repro.core.config import CeresConfig
-from repro.core.pipeline import CeresPipeline
+from repro.core.extraction.features import FeatureDict
+from repro.core.pipeline import CeresPipeline, CeresResult
 from repro.dom.parser import Document
 from repro.kb.store import KnowledgeBase
 from repro.ml.features import FeatureVectorizer
@@ -27,7 +36,10 @@ from repro.transfer.model import GlobalCeresModel
 
 __all__ = [
     "SiteExamples",
+    "SiteSamples",
     "collect_site_examples",
+    "featurize_site",
+    "fit_global",
     "train_global",
     "train_global_from_corpus",
 ]
@@ -40,6 +52,36 @@ class SiteExamples:
     site: str
     documents: list[Document]
     examples: list[TrainingExample]
+
+    @classmethod
+    def from_result(
+        cls,
+        site: str,
+        pipeline: CeresPipeline,
+        documents: list[Document],
+        result: CeresResult,
+    ) -> SiteExamples:
+        """Flatten an annotated site's per-cluster training examples: the
+        stream per-site training consumes (same negatives, same RNG)."""
+        examples = [
+            example
+            for _, cluster_examples in pipeline.cluster_examples(result)
+            for example in cluster_examples
+        ]
+        return cls(site, documents, examples)
+
+
+@dataclass
+class SiteSamples:
+    """One site's featurized contribution to global training: the
+    ``xfer:`` feature dict and the label of each example, in example
+    order.  Plain data, so a corpus worker can ship it to its parent."""
+
+    site: str
+    #: the predicate names the features were built with (sorted).
+    predicates: tuple[str, ...]
+    samples: list[FeatureDict]
+    labels: list[str]
 
 
 def collect_site_examples(
@@ -56,43 +98,56 @@ def collect_site_examples(
     differs.
     """
     pipeline = CeresPipeline(kb, config, annotator)
-    result = pipeline.annotate(documents)
-    examples = [
-        example
-        for _, cluster_examples in pipeline.cluster_examples(result)
-        for example in cluster_examples
-    ]
-    return SiteExamples(site, documents, examples)
+    return SiteExamples.from_result(
+        site, pipeline, documents, pipeline.annotate(documents)
+    )
 
 
-def train_global(
-    site_examples: Iterable[SiteExamples],
-    predicates: Iterable[str],
-    config: CeresConfig | None = None,
+def featurize_site(
+    pool: SiteExamples, extractor: TransferFeatureExtractor
+) -> SiteSamples:
+    """The ``xfer:`` features and labels of one site's examples."""
+    with obs.stage(
+        "stage.global_samples", site=pool.site, examples=len(pool.examples)
+    ):
+        samples = [
+            extractor.features(example.node, pool.documents[example.page_index])
+            for example in pool.examples
+        ]
+    return SiteSamples(
+        pool.site,
+        extractor.predicates,
+        samples,
+        [example.label for example in pool.examples],
+    )
+
+
+def fit_global(
+    sites: Iterable[SiteSamples], config: CeresConfig | None = None
 ) -> GlobalCeresModel:
-    """Fit one global classifier over the pooled examples of many sites.
+    """Fit one global classifier over the pooled samples of many sites,
+    in the order given.
 
-    ``predicates`` (the vertical's ontology predicate names) drive the
-    predicate-name-overlap features and travel with the model.
+    The sites' predicate names drive the predicate-name-overlap
+    features and travel with the model, so every site must have been
+    featurized with the same ones.
     """
     config = config or CeresConfig()
-    pools = [pool for pool in site_examples if pool.examples]
+    pools = [site for site in sites if site.samples]
     if not pools:
         raise ValueError(
             "no training examples across sites — annotation produced nothing"
         )
-    extractor = TransferFeatureExtractor(predicates, config)
-    samples = []
-    labels = []
+    predicates = pools[0].predicates
+    for site in pools:
+        if site.predicates != predicates:
+            raise ValueError(
+                f"site {site.site!r} was featurized with predicates "
+                f"{list(site.predicates)}, not {list(predicates)}"
+            )
+    samples = [sample for site in pools for sample in site.samples]
+    labels = [label for site in pools for label in site.labels]
     with obs.stage("stage.train_global", sites=len(pools)) as stage:
-        for pool in pools:
-            for example in pool.examples:
-                samples.append(
-                    extractor.features(
-                        example.node, pool.documents[example.page_index]
-                    )
-                )
-                labels.append(example.label)
         vectorizer = FeatureVectorizer()
         X = vectorizer.fit_transform(samples)
         classifier = SoftmaxRegression(
@@ -103,25 +158,49 @@ def train_global(
     registry = obs.metrics()
     registry.inc("transfer.train.sites", len(pools))
     registry.inc("transfer.train.examples", len(samples))
-    return GlobalCeresModel(extractor, vectorizer, classifier, config)
+    return GlobalCeresModel(
+        TransferFeatureExtractor(predicates, config), vectorizer, classifier, config
+    )
+
+
+def train_global(
+    site_examples: Iterable[SiteExamples],
+    predicates: Iterable[str],
+    config: CeresConfig | None = None,
+) -> GlobalCeresModel:
+    """Fit one global classifier over the pooled examples of many sites:
+    :func:`featurize_site` on each, then :func:`fit_global`.
+
+    ``predicates`` (the vertical's ontology predicate names) drive the
+    predicate-name-overlap features and travel with the model.
+    """
+    config = config or CeresConfig()
+    extractor = TransferFeatureExtractor(predicates, config)
+    return fit_global(
+        [featurize_site(pool, extractor) for pool in site_examples], config
+    )
 
 
 def train_global_from_corpus(
     corpus: str | Path,
-    kb: KnowledgeBase,
+    kb: KnowledgeBase | None,
     *,
     config: CeresConfig | None = None,
     registry_root: str | Path | None = None,
     exclude: Iterable[str] = (),
     log: Callable[[str], None] | None = None,
+    featurized: Mapping[str, SiteSamples] | None = None,
 ) -> tuple[GlobalCeresModel, Path | None]:
     """Train a global model over every site of a corpus.
 
-    ``exclude`` holds out sites (the leave-one-site-out evaluation in
-    :mod:`repro.evaluation.transfer_eval` trains N models this way);
-    ``registry_root`` persists the model as the registry's global
-    artifact.  Returns the model and the artifact path (None when not
-    persisted).
+    Sites pool in :func:`~repro.runtime.runner.discover_corpus` order.
+    ``featurized`` holds the sites whose samples are already built
+    (``run-corpus`` workers featurize each site they train); every other
+    site is parsed, annotated and featurized here with ``kb``, which may
+    be None when ``featurized`` covers the corpus.  ``exclude`` holds
+    out sites; ``registry_root`` persists the model as the registry's
+    global artifact.  Returns the model and the artifact path (None when
+    not persisted).
     """
     # Lazy import: the runner stack pulls in the serving layer, which
     # imports this package lazily in turn — keep module import acyclic.
@@ -130,19 +209,27 @@ def train_global_from_corpus(
     config = config or CeresConfig()
     emit = log or (lambda message: None)
     excluded = set(exclude)
-    predicates = kb.ontology.names()
-    pools: list[SiteExamples] = []
+    featurized = featurized or {}
+    extractor: TransferFeatureExtractor | None = None
+    pools: list[SiteSamples] = []
     for spec in discover_corpus(corpus):
         if spec.site in excluded:
             continue
-        documents = load_site_documents(spec.pages_dir)
-        pool = collect_site_examples(spec.site, kb, documents, config)
-        emit(
-            f"site={spec.site} pages={len(documents)} "
-            f"examples={len(pool.examples)}"
-        )
-        pools.append(pool)
-    model = train_global(pools, predicates, config)
+        samples = featurized.get(spec.site)
+        if samples is None:
+            if extractor is None:
+                extractor = TransferFeatureExtractor(kb.ontology.names(), config)
+            documents = load_site_documents(spec.pages_dir)
+            samples = featurize_site(
+                collect_site_examples(spec.site, kb, documents, config),
+                extractor,
+            )
+            emit(
+                f"site={spec.site} pages={len(documents)} "
+                f"examples={len(samples.labels)}"
+            )
+        pools.append(samples)
+    model = fit_global(pools, config)
     path: Path | None = None
     if registry_root is not None:
         from repro.runtime.registry import ModelRegistry

@@ -253,3 +253,63 @@ class TestParseLimits:
         flat = "<html><body>" + "<br/>" * 50 + "</body></html>"
         doc = parse_html(flat, max_depth=10)  # <br> never nests
         assert doc.root.tag == "html"
+
+    def test_wide_parent_parses_in_linear_time(self):
+        """Sibling indices come from per-parent counts, not a scan of
+        the earlier siblings: 32,000 ``<b>x</b>y`` pairs in one parent
+        (64,000 children) parse within serve-http's caps in seconds."""
+        import time
+
+        from repro.core.config import CeresConfig
+
+        config = CeresConfig()
+        html = "<div>" + "<b>x</b>y" * 32_000 + "</div>"
+        start = time.perf_counter()
+        doc = parse_html(
+            html,
+            max_depth=config.max_parse_depth,
+            max_nodes=config.max_parse_nodes,
+        )
+        elapsed = time.perf_counter() - start
+        div = doc.root.element_children()[0]
+        assert len(div.children) == 64_000
+        assert div.children[-2].xpath == "/#fragment[1]/div[1]/b[32000]"
+        assert div.children[-1].xpath == "/#fragment[1]/div[1]/text()[32000]"
+        assert elapsed < 2.0, elapsed
+
+
+def _recounted_xpaths(element, prefix, out):
+    """Walk ``element``'s subtree recounting each child's XPath index
+    from its earlier siblings; maps every node to its recounted xpath."""
+    tag_counts: dict[str, int] = {}
+    n_text = 0
+    for child in element.children:
+        if child.is_text:
+            n_text += 1
+            out[child] = (n_text, f"{prefix}/text()[{n_text}]")
+        else:
+            tag_counts[child.tag] = tag_counts.get(child.tag, 0) + 1
+            index = tag_counts[child.tag]
+            out[child] = (index, f"{prefix}/{child.tag}[{index}]")
+            _recounted_xpaths(child, out[child][1], out)
+    return out
+
+
+class TestSiblingIndices:
+    @pytest.mark.parametrize("vertical", ["movie", "book", "nbaplayer", "university"])
+    def test_indices_match_a_recount_on_swde_pages(self, vertical):
+        from repro.datasets import generate_swde
+
+        dataset = generate_swde(vertical, n_sites=2, pages_per_site=4, seed=0)
+        for site in dataset.sites:
+            for page in site.pages:
+                doc = parse_html(page.html)
+                root = doc.root
+                expected = _recounted_xpaths(
+                    root, f"/{root.tag}[1]", {root: (1, f"/{root.tag}[1]")}
+                )
+                assert len(expected) > 20
+                for node, (index, xpath) in expected.items():
+                    got = node.text_index if node.is_text else node.tag_index
+                    assert (got, node.xpath) == (index, xpath)
+                    assert doc.node_at(xpath) is node

@@ -565,3 +565,134 @@ class TestRunnerObservability:
             "site.run", "stage.cluster", "stage.annotate", "stage.train",
             "stage.extract", "stage.fuse",
         } <= span_names
+
+
+def _global_bytes(registry_root) -> bytes:
+    return (registry_root / "_global" / "model.json").read_bytes()
+
+
+def _rerun_one_site(corpus_on_disk, tmp_path):
+    """A journaled run over a copy of the corpus, then one page of the
+    first site deleted: resuming re-runs that site and replays the rest.
+    Returns (corpus_dir, run_dir, the replayed sites)."""
+    _, kb_path, source, _, site_names = corpus_on_disk
+    corpus_dir = tmp_path / "sites"
+    shutil.copytree(source, corpus_dir)
+    run_dir = tmp_path / "run"
+    run_corpus(corpus_dir, kb_path, None, max_workers=1, run_dir=run_dir)
+    changed, *replayed = site_names
+    min((corpus_dir / changed).glob("*.html")).unlink()
+    return corpus_dir, run_dir, replayed
+
+
+class TestRunCorpusGlobalModel:
+    """``train_global=True`` pools the samples the workers built while
+    training their sites; the parent annotates only the sites no worker
+    featurized.  Either way the global artifact is byte-identical to
+    what ``train_global_from_corpus`` writes for the same corpus."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, corpus_on_disk, tmp_path_factory):
+        from repro.transfer import train_global_from_corpus
+
+        _, kb_path, corpus_dir, _, _ = corpus_on_disk
+        root = tmp_path_factory.mktemp("train-global")
+        train_global_from_corpus(
+            corpus_dir, kb_io.load_kb(kb_path), registry_root=root
+        )
+        return _global_bytes(root)
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_matches_train_global_from_corpus(
+        self, corpus_on_disk, reference, tmp_path, max_workers
+    ):
+        _, kb_path, corpus_dir, _, _ = corpus_on_disk
+        reports = run_corpus(
+            corpus_dir, kb_path, tmp_path / "models",
+            max_workers=max_workers, train_global=True,
+        )
+        assert all(report.ok for report in reports)
+        assert _global_bytes(tmp_path / "models") == reference
+
+    def test_resumed_and_rerun_sites_pool_identically(
+        self, corpus_on_disk, tmp_path
+    ):
+        """Replayed sites are annotated in the parent, the site whose
+        pages changed is featurized by its worker: one pool, and the
+        bytes ``train_global_from_corpus`` writes for the changed corpus."""
+        from repro.transfer import train_global_from_corpus
+
+        kb_path = corpus_on_disk[1]
+        corpus_dir, run_dir, replayed = _rerun_one_site(corpus_on_disk, tmp_path)
+        reports = run_corpus(
+            corpus_dir, kb_path, tmp_path / "models", max_workers=2,
+            run_dir=run_dir, resume=True, train_global=True,
+        )
+        assert sorted(r.site for r in reports if r.resumed) == replayed
+        train_global_from_corpus(
+            corpus_dir, kb_io.load_kb(kb_path), registry_root=tmp_path / "tg"
+        )
+        assert _global_bytes(tmp_path / "models") == _global_bytes(
+            tmp_path / "tg"
+        )
+
+    def test_each_page_annotated_once(self, corpus_on_disk, tmp_path):
+        from repro import obs
+
+        _, kb_path, corpus_dir, _, site_names = corpus_on_disk
+        with obs.scoped(tracing=True, metrics=True) as (tracer, registry):
+            reports = run_corpus(
+                corpus_dir, kb_path, tmp_path / "models",
+                max_workers=2, train_global=True,
+            )
+            counters = registry.snapshot()["counters"]
+            spans = tracer.export()
+        assert counters["pipeline.pages"] == sum(r.n_pages for r in reports)
+        for name in ("stage.annotate", "stage.global_samples"):
+            assert sum(span["name"] == name for span in spans) == len(
+                site_names
+            ), name
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    def test_inline_run_parses_each_page_and_the_kb_once(
+        self, corpus_on_disk, tmp_path, monkeypatch, resume
+    ):
+        """A site the worker ran is featurized from the worker's parse;
+        a replayed site is parsed once, by the parent, with the KB the
+        inline sites already parsed."""
+        _, kb_path, corpus_dir, _, _ = corpus_on_disk
+        journal = {}
+        if resume:
+            corpus_dir, run_dir, _ = _rerun_one_site(corpus_on_disk, tmp_path)
+            journal = dict(run_dir=run_dir, resume=True)
+        page_parses, kb_parses = [], []
+        parse_html, kb_from_dict = runner.parse_html, kb_io.kb_from_dict
+
+        def counting_parse_html(*args, **kwargs):
+            page_parses.append(1)
+            return parse_html(*args, **kwargs)
+
+        def counting_kb_from_dict(data):
+            kb_parses.append(1)
+            return kb_from_dict(data)
+
+        monkeypatch.setattr(runner, "parse_html", counting_parse_html)
+        monkeypatch.setattr(kb_io, "kb_from_dict", counting_kb_from_dict)
+        run_corpus(
+            corpus_dir, kb_path, tmp_path / "models",
+            max_workers=1, train_global=True, **journal,
+        )
+        assert len(page_parses) == len(list(corpus_dir.glob("*/*.html")))
+        assert len(kb_parses) == 1
+
+    def test_missing_registry_fails_before_any_site_runs(
+        self, corpus_on_disk
+    ):
+        _, kb_path, corpus_dir, _, _ = corpus_on_disk
+        progress = []
+        with pytest.raises(ValueError, match="requires registry_root"):
+            run_corpus(
+                corpus_dir, kb_path, None, max_workers=1,
+                train_global=True, log=progress.append,
+            )
+        assert progress == []

@@ -428,6 +428,47 @@ class TestHttpServing:
         assert head.split(b" ", 2)[1] == str(status).encode()
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
 
+    @pytest.mark.parametrize(
+        "serving", [dict(request_deadline=0.5)], indirect=True
+    )
+    def test_trickled_body_answered_408_within_the_deadline(self, serving):
+        """The request deadline bounds the whole body, not each wait for
+        data: an 8-byte body sent one byte every 0.2 s is answered 408
+        and the connection closed before its last byte is due."""
+        interval, length = 0.2, 8
+        stop = threading.Event()
+
+        def trickle(conn):
+            for _ in range(length):
+                try:
+                    conn.sendall(b"x")
+                except OSError:  # the server hung up
+                    return
+                if stop.wait(interval):
+                    return
+
+        with socket.create_connection(
+            ("127.0.0.1", serving.port), timeout=5.0
+        ) as conn:
+            conn.sendall(
+                b"POST /extract HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % length
+            )
+            start = time.monotonic()
+            sender = threading.Thread(target=trickle, args=(conn,))
+            sender.start()
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+            hung_up = time.monotonic() - start
+            stop.set()
+            sender.join(timeout=5)
+        assert not sender.is_alive()
+        head = reply.split(b"\r\n\r\n", 1)[0]
+        assert head.split(b" ", 2)[1] == b"408"
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert hung_up < (length - 1) * interval, hung_up
+
     def test_requests_on_one_connection_start_one_thread(
         self, serving, trained_world, monkeypatch
     ):

@@ -318,6 +318,29 @@ class TestDeletedArtifact:
             )
 
 
+class TestGlobalTraining:
+    def test_fit_refuses_samples_of_other_predicates(self, swde):
+        """Predicate names parameterize the overlap features, so samples
+        featurized with different ones cannot share one model."""
+        from repro.transfer.trainer import featurize_site, fit_global
+
+        dataset, kb = swde
+        config = CeresConfig()
+        names = kb.ontology.names()
+        pools = [
+            collect_site_examples(site.name, kb, site.documents(), config)
+            for site in dataset.sites[:2]
+        ]
+        samples = [
+            featurize_site(pools[0], TransferFeatureExtractor(names, config)),
+            featurize_site(
+                pools[1], TransferFeatureExtractor(names[1:], config)
+            ),
+        ]
+        with pytest.raises(ValueError, match="featurized with predicates"):
+            fit_global(samples, config)
+
+
 class TestLosoEvaluation:
     def test_loso_runs_every_fold(self, swde):
         from repro.evaluation import format_loso_table, loso_folds
