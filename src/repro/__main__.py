@@ -136,6 +136,8 @@ _SHARED_FLAGS: dict[str, dict] = {
 }
 #: Tracing/metrics outputs, accepted by every processing command.
 _OBS_FLAGS = ("trace_output", "metrics_output")
+#: Flags naming a file the command writes ("-" is stdout).
+_OUTPUT_FLAGS = ("output", "fuse_output", *_OBS_FLAGS)
 
 #: Help for serve-http's tuning flags, one per ServingConfig field; each
 #: flag's type and default are read from the dataclass.
@@ -201,6 +203,22 @@ def _setup_obs(args) -> None:
     )
 
 
+def _check_outputs(args) -> None:
+    """Refuse an output path no file can be written at — one whose
+    directory is missing, or a directory itself — before the command
+    does any work.  Otherwise run-corpus would truncate ``--output`` and
+    run every site only to fail writing the fused facts or the trace."""
+    for dest in _OUTPUT_FLAGS:
+        output = getattr(args, dest, None)
+        if output is None or output == "-":
+            continue
+        path = Path(output)
+        if path.is_dir():
+            raise SystemExit(f"cannot write {output}: it is a directory")
+        if not path.parent.is_dir():
+            raise SystemExit(f"cannot write {output}: no directory {path.parent}")
+
+
 def _write_obs(args) -> None:
     """Write whatever the enabled instruments collected (even on a failed
     run — partial telemetry is exactly what you want when diagnosing one)."""
@@ -208,12 +226,12 @@ def _write_obs(args) -> None:
     if trace_path is not None:
         from repro.obs.tracer import write_spans_jsonl
 
-        with open(trace_path, "w", encoding="utf-8") as sink:
+        with _open_sink(trace_path) as sink:
             n_spans = write_spans_jsonl(obs.tracer().export(), sink)
         print(f"[repro] {n_spans} span(s) -> {trace_path}", file=sys.stderr)
     metrics_path = getattr(args, "metrics_output", None)
     if metrics_path is not None:
-        with open(metrics_path, "w", encoding="utf-8") as sink:
+        with _open_sink(metrics_path) as sink:
             json.dump(obs.metrics().snapshot(), sink, indent=2, sort_keys=True)
             sink.write("\n")
         print(f"[repro] metrics snapshot -> {metrics_path}", file=sys.stderr)
@@ -463,10 +481,14 @@ def _load_documents(pages_dir: str) -> list:
 
 def _open_sink(output: str):
     """``output`` opened for writing, as a context manager; '-' is stdout,
-    which it leaves open."""
+    which it leaves open.  A path that cannot be opened is a usage error
+    naming it."""
     if output == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(output, "w", encoding="utf-8")
+    try:
+        return open(output, "w", encoding="utf-8")
+    except OSError as error:
+        raise SystemExit(f"cannot write {output}: {error.strerror or error}")
 
 
 def _service(args):
@@ -911,6 +933,7 @@ def main(argv: list[str] | None = None) -> int:
         "stats": _cmd_stats,
         "lint": _cmd_lint,
     }
+    _check_outputs(args)
     # Observability is enabled before dispatch (instrumented objects may
     # capture their instruments at construction) and written out even when
     # the command fails — partial telemetry is diagnostic gold.  disable()

@@ -12,8 +12,10 @@ kinds exist:
 
 Absolute XPaths use 1-based sibling indices counted per tag name, e.g.
 ``/html[1]/body[1]/div[2]/span[1]`` and ``.../span[1]/text()[1]`` for text
-nodes.  XPaths are computed lazily and cached; trees are treated as
-immutable once built by the parser.
+nodes.  The parser sets each node's index as it attaches the node, from
+per-parent counts, so building a wide parent stays linear.  XPaths are
+computed lazily and cached; trees are treated as immutable once built by
+the parser.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class ElementNode:
         "parent",
         "children",
         "tag_index",
-        "child_position",
         "element_index",
         "_element_children",
         "_xpath",
@@ -58,10 +59,9 @@ class ElementNode:
         self.children: list[Node] = []
         #: 1-based index among same-tag siblings (the XPath step index).
         self.tag_index: int = 1
-        #: 0-based position among *all* siblings (element and text).
-        self.child_position: int = 0
-        #: 0-based position among *element* siblings, assigned at append
-        #: time so feature extraction never runs an O(siblings) index scan.
+        #: 0-based position among *element* siblings, assigned as the
+        #: parser attaches the node, so feature extraction never runs an
+        #: O(siblings) index scan.
         self.element_index: int = 0
         self._element_children: list[ElementNode] = []
         self._xpath: str | None = None
@@ -103,25 +103,6 @@ class ElementNode:
             node = node.parent
         return node
 
-    def append(self, child: Node, index: int) -> None:
-        """Attach ``child`` as the last child.
-
-        ``index`` is the child's XPath step index, counted by the caller:
-        its ``tag_index`` among same-tag element siblings, or its
-        ``text_index`` among text siblings.  The caller keeps the counts
-        (the parser, per open element) so that an append is O(1) however
-        many siblings a hostile page gives one parent.
-        """
-        child.parent = self
-        child.child_position = len(self.children)
-        if isinstance(child, ElementNode):
-            child.tag_index = index
-            child.element_index = len(self._element_children)
-            self._element_children.append(child)
-        else:
-            child.text_index = index
-        self.children.append(child)
-
     def ancestors(self, include_self: bool = False) -> Iterator[ElementNode]:
         """Yield ancestors from the parent upward (optionally self first)."""
         node: ElementNode | None = self if include_self else self.parent
@@ -155,21 +136,12 @@ class ElementNode:
     def element_children(self) -> list[ElementNode]:
         """Child nodes that are elements, in document order.
 
-        Maintained incrementally by :meth:`append` (trees are immutable
-        once parsed), so this is O(1); the returned list is internal state
-        and must not be mutated.  Each child's position in it is its
-        ``element_index``.
+        Filled in as :func:`repro.dom.parser.parse_html` attaches each
+        child (trees are immutable once parsed), so this is O(1); the
+        returned list is internal state and must not be mutated.  Each
+        child's position in it is its ``element_index``.
         """
         return self._element_children
-
-    def reindex_children(self) -> None:
-        """Recompute element-sibling bookkeeping after direct ``children``
-        surgery (e.g. :func:`repro.dom.parser.strip_non_content`)."""
-        self._element_children = [
-            child for child in self.children if isinstance(child, ElementNode)
-        ]
-        for index, child in enumerate(self._element_children):
-            child.element_index = index
 
     def text_content(self, separator: str = " ") -> str:
         """Concatenated text of all descendant text nodes."""
@@ -192,14 +164,13 @@ class ElementNode:
 class TextNode:
     """A run of visible text within an element."""
 
-    __slots__ = ("text", "parent", "text_index", "child_position", "_xpath")
+    __slots__ = ("text", "parent", "text_index", "_xpath")
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.parent: ElementNode | None = None
         #: 1-based index among text-node siblings (the ``text()[i]`` index).
         self.text_index: int = 1
-        self.child_position: int = 0
         self._xpath: str | None = None
 
     def __repr__(self) -> str:

@@ -1,9 +1,31 @@
 """HTML → DOM tree parsing.
 
-Built on the standard library's :class:`html.parser.HTMLParser`.  The paper
-used lxml; this parser provides the same data model (see
-:mod:`repro.dom.node`) for the well-formed-ish HTML that semi-structured
-template engines emit.  It handles:
+One loop tokenizes the markup and builds the tree (the data model of
+:mod:`repro.dom.node`; the paper used lxml).  The tokenizing rules are a
+port of CPython 3.11.7's :mod:`html.parser` (``Lib/html/parser.py`` and
+``Lib/_markupbase.py``, Copyright Python Software Foundation, PSF License
+Version 2): its regexes and branch order for start and end tags,
+comments, ``<!DOCTYPE``, ``<?…>``, ``<![…]>`` and bogus comments,
+script/style raw text and ``convert_charrefs`` unescaping.  The tree is
+the one a builder driven by ``html.parser`` 3.11 makes, and it no longer
+depends on which Python patch release is installed (later security
+releases changed how ``html.parser`` treats unterminated markup).
+``tests/golden/dom_digests.json`` pins that tree for ~3,400 pages and
+mutated inputs.  Two departures, neither visible in the tree:
+
+* **A fast path.**  One compiled regex matches the common tokens first:
+  text runs, start tags whose attributes are bare names or double-quoted
+  values, and plain ``</name>`` end tags.  Its grammar is a subset of the
+  general rules', so a token it matches gets the same result from both.
+* **A linear worst case.**  ``html.parser`` re-scans the rest of the
+  input for every ``<`` that no ``>`` follows, which is quadratic (on a
+  2-core host 36 KB of ``<a x="1" `` took 3.9 s, 72 KB 18 s).  Past the
+  last ``>`` nothing can become markup, so here the tail becomes text in
+  one pass.  ``html.parser`` also re-scans the rest for every comment or
+  ``<![…]`` section that never closes (120 KB of ``<!--x>`` took
+  6.8 s); here one failed scan settles every later one.
+
+The builder handles:
 
 * void elements (``<br>``, ``<img>``, …) with or without self-closing
   slashes,
@@ -28,7 +50,9 @@ RAM.  Trusted corpus files parse uncapped by default.
 from __future__ import annotations
 
 import itertools
-from html.parser import HTMLParser
+import re
+import sys
+from html import unescape
 
 from repro.dom.node import NON_CONTENT_ELEMENTS, VOID_ELEMENTS, ElementNode, TextNode
 
@@ -141,123 +165,214 @@ class Document:
         return self._xpath_index.get(xpath)
 
 
-class _TreeBuilder(HTMLParser):
-    """Incremental DOM construction driven by HTMLParser events.
+# -- tokens ------------------------------------------------------------------
 
-    ``max_depth`` caps how deep the open-element stack may grow and
-    ``max_nodes`` caps total nodes built (elements + text); exceeding
-    either raises :class:`ParseLimitError` mid-feed, before the hostile
-    payload can exhaust the recursion limit (xpath/feature walks recurse
-    per level) or memory.  ``None`` disables a cap.
+#: Token kinds, numbered as the fast-path regex's last matched group.
+_DATA, _START, _END = 1, 4, 5
+
+#: The fast path: a text run, a start tag whose attributes are bare names
+#: or double-quoted values (group 3; group 4 is the self-closing slash),
+#: or a plain end tag.  Names are lower case, so they need no folding, and
+#: a tag name ends at whitespace ``html.parser`` also ends it at, so every
+#: match reads the same under the general rules.
+_FAST_TOKEN = re.compile(
+    r"([^<]+)"
+    r"|<([a-z][a-z0-9]*)"
+    r"((?:[\t\n\r\f ]+[a-z_:][-a-z0-9_:.]*(?:=\"[^\"]*\")?)*)"
+    r"[\t\n\r\f ]*(/?)>"
+    r"|</([a-z][a-z0-9]*)>"
+)
+_FAST_ATTR = re.compile(r"[\t\n\r\f ]+([a-z_:][-a-z0-9_:.]*)(?:=\"([^\"]*)\")?")
+
+# The general rules: CPython 3.11 html.parser's and _markupbase's regexes.
+_STARTTAGOPEN = re.compile(r"<[a-zA-Z]")
+_COMMENTCLOSE = re.compile(r"--\s*>")
+_TAGFIND = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRFIND = re.compile(
+    r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"
+    r"('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?(?:\s|/(?!>))*"
+)
+_LOCATESTARTTAGEND = re.compile(
+    r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""",
+    re.VERBOSE,
+)
+_ENDTAGFIND = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_DECLNAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_SECTION_CLOSE = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+#: Where script/style raw text ends.
+_RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in ("script", "style")}
+#: With no ``>`` left in the input, the one start tag ``html.parser``
+#: still ends: a name cut by a NUL that the attribute rules cannot take
+#: over (its last character is no quote or space).  It stays raw text.
+_CUT_START_TAG = re.compile(r"<[a-zA-Z][^\t\n\r\f />\x00]*(?<![\'\"\s])(?=\x00)")
+
+
+def _section_close(html: str, i: int) -> re.Pattern | None:
+    """``_markupbase``'s reading of the ``<![`` section at ``i``: the
+    pattern that closes it, or ``None`` if its name runs to the end of the
+    input.  Raises ``AssertionError`` where ``_markupbase`` does."""
+    start = i + 3
+    name = _DECLNAME.match(html, start)
+    if name is None:
+        if start == len(html):
+            return None
+        raise AssertionError(f"expected name token at {html[i:i + 20]!r}")
+    if name.end() == len(html):
+        return None
+    close = _SECTION_CLOSE.get(name.group().strip().lower())
+    if close is None:
+        raise AssertionError(
+            f"unknown status keyword {html[start:name.end()]!r} in marked section"
+        )
+    return close
+
+
+def _start_tag(html: str, i: int) -> tuple:
+    """``HTMLParser.parse_starttag`` at ``i`` (``<`` + letter)."""
+    j = _LOCATESTARTTAGEND.match(html, i).end()
+    after = html[j:j + 1]
+    if after == ">":
+        end = j + 1
+    elif after == "/":
+        if not html.startswith("/>", j):
+            return ()
+        end = j + 2
+    elif not after or after in "abcdefghijklmnopqrstuvwxyz=/ABCDEFGHIJKLMNOPQRSTUVWXYZ":
+        return ()
+    else:
+        end = j
+    match = _TAGFIND.match(html, i + 1)
+    k = match.end()
+    attrs: dict[str, str] = {}
+    while k < end:
+        match_attr = _ATTRFIND.match(html, k)
+        if not match_attr:
+            break
+        name, rest, value = match_attr.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        attrs[name.lower()] = unescape(value) if value else ""
+        k = match_attr.end()
+    closing = html[k:end].strip()
+    if closing not in (">", "/>"):
+        return end, _DATA, html[i:end], None, False  # raw: not unescaped
+    return end, _START, match.group(1).lower(), attrs, closing == "/>"
+
+
+def _end_tag(html: str, i: int) -> tuple:
+    """``HTMLParser.parse_endtag`` at ``i`` (``</``), outside raw text."""
+    gt = html.find(">", i + 1)
+    if gt < 0:
+        return ()
+    match = _ENDTAGFIND.match(html, i)
+    if match:
+        return gt + 1, _END, match.group(1).lower(), None, False
+    match = _TAGFIND.match(html, i + 2)
+    if match:  # junk between the name and the ">" is ignored
+        return gt + 1, _END, match.group(1).lower(), None, False
+    if html.startswith("</>", i):
+        return i + 3, None, None, None, False
+    return gt + 1, None, None, None, False  # a bogus comment
+
+
+def _search_close(html: str, start: int, close: re.Pattern, unclosed: dict) -> re.Match | None:
+    """``close.search(html, start)``, remembering a miss in ``unclosed``:
+    with no match from ``start`` there is none from a later start either,
+    so unclosed comments cost one scan, not one per ``<!--``."""
+    if start >= unclosed.get(close, len(html) + 1):
+        return None
+    match = close.search(html, start)
+    if match is None:
+        unclosed[close] = start
+    return match
+
+
+def _markup(html: str, i: int, unclosed: dict) -> tuple:
+    """One token at ``i`` by ``HTMLParser.goahead``'s rules, as ``(end,
+    kind, tag or text, attrs, self_closing)``; kind ``None`` is markup
+    the tree ignores.  ``i`` is not past the last ``>`` in ``html``;
+    ``unclosed`` is the parse's memo for :func:`_search_close`."""
+    if html[i] != "<":
+        j = html.find("<", i)
+        j = len(html) if j < 0 else j
+        return j, _DATA, unescape(html[i:j]), None, False
+    if _STARTTAGOPEN.match(html, i):
+        token = _start_tag(html, i)
+    elif html.startswith("</", i):
+        token = _end_tag(html, i)
+    elif html.startswith("<!--", i):
+        match = _search_close(html, i + 4, _COMMENTCLOSE, unclosed)
+        token = (match.end(), None, None, None, False) if match else ()
+    elif html.startswith("<?", i):
+        gt = html.find(">", i + 2)
+        token = (gt + 1, None, None, None, False) if gt >= 0 else ()
+    elif html.startswith("<![", i):
+        close = _section_close(html, i)
+        match = close and _search_close(html, i + 3, close, unclosed)
+        token = (match.end(), None, None, None, False) if match else ()
+    elif html.startswith("<!", i):  # <!DOCTYPE …> or a bogus comment
+        gt = html.find(">", i + 9 if html[i:i + 9].lower() == "<!doctype" else i + 2)
+        token = (gt + 1, None, None, None, False) if gt >= 0 else ()
+    else:
+        return i + 1, _DATA, "<", None, False
+    if token:
+        return token
+    # Unterminated: up to the next ">" becomes text (there is one).
+    end = html.find(">", i + 1) + 1
+    return end, _DATA, unescape(html[i:end]), None, False
+
+
+def _tail_text(html: str, i: int) -> list[str]:
+    """The text ``html.parser`` makes of ``html[i:]`` when no ``>``
+    follows ``i``, in one pass instead of one re-scan per ``<``.
+
+    Each ``<`` there starts a construct that never closes, so it reads as
+    text up to the next ``<``; the pieces are unescaped (a character
+    reference never spans a ``<``).  The exceptions are kept: a NUL-cut
+    start tag stays raw, and an unknown ``<![`` keyword still raises.
     """
-
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        max_nodes: int | None = None,
-    ) -> None:
-        super().__init__(convert_charrefs=True)
-        self.synthetic_root = ElementNode("#fragment")
-        #: the open elements, innermost last.  Only they take children,
-        #: so each keeps its children's counts in ``_child_counts`` (same
-        #: depth): same-tag elements per tag, text nodes under ``_TEXT``.
-        self._stack: list[ElementNode] = [self.synthetic_root]
-        self._child_counts: list[dict[str, int]] = [{}]
-        self._pending_text: list[str] = []
-        self._max_depth = max_depth
-        self._max_nodes = max_nodes
-        self._n_nodes = 0
-
-    def _count_node(self) -> None:
-        self._n_nodes += 1
-        if self._max_nodes is not None and self._n_nodes > self._max_nodes:
-            raise ParseLimitError(
-                f"document exceeds max_parse_nodes={self._max_nodes}: "
-                f"refusing to build node {self._n_nodes}"
-            )
-
-    def _attach(self, child: ElementNode | TextNode, key: str) -> None:
-        """Append ``child`` to the innermost open element; ``key`` is its
-        tag (or ``_TEXT``), whose count so far gives its XPath index."""
-        counts = self._child_counts[-1]
-        index = counts[key] = counts.get(key, 0) + 1
-        self._stack[-1].append(child, index)
-
-    def _close_to(self, depth: int) -> None:
-        """Close every open element but the outermost ``depth``."""
-        del self._stack[depth:]
-        del self._child_counts[depth:]
-
-    # -- text buffering -------------------------------------------------
-
-    def _flush_text(self) -> None:
-        if not self._pending_text:
-            return
-        text = "".join(self._pending_text)
-        self._pending_text.clear()
-        parent = self._stack[-1]
-        # Merge with a preceding text sibling if one exists (HTMLParser may
-        # deliver one logical run as several handle_data calls).
-        if parent.children and parent.children[-1].is_text:
-            last = parent.children[-1]
-            last.text += text
+    pieces = []
+    start = i
+    p = html.find("<", i)
+    while p >= 0:
+        if html.startswith("<![", p):
+            _section_close(html, p)
         else:
-            if not text:
-                return
-            self._count_node()
-            self._attach(TextNode(text), _TEXT)
+            cut = _CUT_START_TAG.match(html, p)
+            if cut:
+                pieces += unescape(html[start:p]), cut.group()
+                start = cut.end()
+        p = html.find("<", max(p + 1, start))
+    pieces.append(unescape(html[start:]))
+    return [piece for piece in pieces if piece]
 
-    # -- HTMLParser callbacks --------------------------------------------
 
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        self._flush_text()
-        closers = _IMPLICIT_CLOSERS.get(tag)
-        if closers:
-            while len(self._stack) > 1 and self._stack[-1].tag in closers:
-                self._close_to(len(self._stack) - 1)
-        if (
-            self._max_depth is not None
-            and tag not in VOID_ELEMENTS
-            and len(self._stack) > self._max_depth
-        ):
-            raise ParseLimitError(
-                f"document exceeds max_parse_depth={self._max_depth} "
-                f"at <{tag}>"
-            )
-        self._count_node()
-        element = ElementNode(tag, {k: (v or "") for k, v in attrs})
-        self._attach(element, tag)
-        if tag not in VOID_ELEMENTS:
-            self._stack.append(element)
-            self._child_counts.append({})
+# -- the tree ----------------------------------------------------------------
 
-    def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        self._flush_text()
-        self._count_node()
-        self._attach(ElementNode(tag, {k: (v or "") for k, v in attrs}), tag)
 
-    def handle_endtag(self, tag: str) -> None:
-        self._flush_text()
-        if tag in VOID_ELEMENTS:
-            return
-        # Pop to the matching open tag; ignore stray end tags entirely.
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                self._close_to(i)
-                return
-
-    def handle_data(self, data: str) -> None:
-        if data:
-            self._pending_text.append(data)
-
-    def handle_comment(self, data: str) -> None:
-        # Comments carry no extractable content; drop them.
-        self._flush_text()
-
-    def close(self) -> None:
-        super().close()
-        self._flush_text()
-        self._close_to(1)
+def _too_many_nodes(max_nodes: int | None, n_nodes: int) -> ParseLimitError:
+    return ParseLimitError(
+        f"document exceeds max_parse_nodes={max_nodes}: refusing to build node {n_nodes}"
+    )
 
 
 def parse_html(
@@ -274,45 +389,148 @@ def parse_html(
     operating on snippets).
 
     ``max_depth`` / ``max_nodes`` cap the tree a hostile payload may
-    build (raising :class:`ParseLimitError`); untrusted input — anything
+    build: more than ``max_depth`` open elements, or more than
+    ``max_nodes`` nodes (elements + text), raise :class:`ParseLimitError`
+    before the payload can exhaust the recursion limit (xpath/feature
+    walks recurse per level) or memory.  Untrusted input — anything
     POSTed to the serving tier — should always pass the
-    :class:`~repro.core.config.CeresConfig` caps.  Defaults are
-    uncapped, preserving behaviour for trusted corpus files.
+    :class:`~repro.core.config.CeresConfig` caps.  Defaults are uncapped,
+    preserving behaviour for trusted corpus files.
     """
-    builder = _TreeBuilder(max_depth=max_depth, max_nodes=max_nodes)
-    builder.feed(html)
-    builder.close()
-    root = builder.synthetic_root
-    for child in root.element_children():
+    depth_cap = sys.maxsize if max_depth is None else max_depth
+    node_cap = sys.maxsize if max_nodes is None else max_nodes
+    fragment = ElementNode("#fragment")
+    #: the open elements, innermost (``top``) last.  Only they take
+    #: children, so each keeps its children's counts in ``counts`` (same
+    #: depth; ``top_counts`` is top's): same-tag elements per tag, text
+    #: nodes under ``_TEXT``.
+    top = fragment
+    top_counts: dict[str, int] = {}
+    stack = [top]
+    counts = [top_counts]
+    #: text read since the last node was attached; it becomes one node.
+    pending: list[str] = []
+    n_nodes = 0
+    raw_text_end = None  # inside script/style: the pattern that ends it
+    unclosed: dict = {}
+    fast_token = _FAST_TOKEN.match
+    fast_attrs = _FAST_ATTR.findall
+    closers_of = _IMPLICIT_CLOSERS.get
+    void = VOID_ELEMENTS
+    last_gt = html.rfind(">")
+    n = len(html)
+    i = 0
+    while i < n:
+        if raw_text_end is not None:
+            match = raw_text_end.search(html, i)
+            if match is None:
+                break  # an unclosed script/style drops the rest
+            if match.start() > i:
+                pending.append(html[i:match.start()])
+            i = match.end()
+            kind, tag = _END, top.tag
+            raw_text_end = None
+        else:
+            match = fast_token(html, i)
+            if match is not None:
+                i = match.end()
+                kind = match.lastindex
+                if kind == _DATA:
+                    text = match.group(1)
+                    if "&" in text:
+                        text = unescape(text)
+                        if not text:
+                            continue
+                    pending.append(text)
+                    continue
+                if kind == _START:
+                    tag, attr_text, slash = match.group(2, 3, 4)
+                    self_closing = slash == "/"
+                    if not attr_text:
+                        attrs = {}
+                    elif "&" in attr_text:
+                        attrs = {name: unescape(value) for name, value in fast_attrs(attr_text)}
+                    else:
+                        attrs = dict(fast_attrs(attr_text))
+                else:
+                    tag = match.group(5)
+            elif i > last_gt:
+                pending += _tail_text(html, i)
+                break
+            else:
+                i, kind, tag, attrs, self_closing = _markup(html, i, unclosed)
+                if kind == _DATA:
+                    if tag:
+                        pending.append(tag)
+                    continue
+                if kind is None:
+                    continue
+        if kind == _END:
+            # Pop to the matching open tag; ignore stray end tags (void
+            # ones included: they are never open) entirely.
+            depth = len(stack) - 1
+            while depth and stack[depth].tag != tag:
+                depth -= 1
+            if not depth:
+                continue
+        else:
+            depth = 0
+        if pending:
+            n_nodes += 1
+            if n_nodes > node_cap:
+                raise _too_many_nodes(max_nodes, n_nodes)
+            node = TextNode("".join(pending))
+            pending = []
+            node.text_index = top_counts[_TEXT] = top_counts.get(_TEXT, 0) + 1
+            node.parent = top
+            top.children.append(node)
+        if depth:
+            del stack[depth:]
+            del counts[depth:]
+            top = stack[-1]
+            top_counts = counts[-1]
+            continue
+        if not self_closing:
+            closers = closers_of(tag)
+            if closers and top.tag in closers:
+                while len(stack) > 1 and stack[-1].tag in closers:
+                    stack.pop()
+                    counts.pop()
+                top = stack[-1]
+                top_counts = counts[-1]
+            if len(stack) > depth_cap and tag not in void:
+                raise ParseLimitError(
+                    f"document exceeds max_parse_depth={max_depth} at <{tag}>"
+                )
+        n_nodes += 1
+        if n_nodes > node_cap:
+            raise _too_many_nodes(max_nodes, n_nodes)
+        node = ElementNode(tag, attrs)
+        node.tag_index = top_counts[tag] = top_counts.get(tag, 0) + 1
+        node.parent = top
+        elements = top._element_children
+        node.element_index = len(elements)
+        elements.append(node)
+        top.children.append(node)
+        if not self_closing and tag not in void:
+            top = node
+            top_counts = {}
+            stack.append(top)
+            counts.append(top_counts)
+            raw_text_end = _RAW_TEXT_END.get(tag)
+    if pending:
+        n_nodes += 1
+        if n_nodes > node_cap:
+            raise _too_many_nodes(max_nodes, n_nodes)
+        node = TextNode("".join(pending))
+        node.text_index = top_counts[_TEXT] = top_counts.get(_TEXT, 0) + 1
+        node.parent = top
+        top.children.append(node)
+    for child in fragment.element_children():
         if child.tag == "html":
             # Detach so the <html> element is a true root with depth 0 and
             # an xpath of /html[1].
             child.parent = None
             child.tag_index = 1
             return Document(child, url=url)
-    return Document(root, url=url)
-
-
-def strip_non_content(document: Document) -> int:
-    """Remove script/style subtrees in place; returns number removed.
-
-    Parsing keeps non-content elements (their presence can matter for
-    sibling indices); this helper exists for callers who want physically
-    smaller trees, e.g. before serializing corpora to disk.
-    """
-    removed = 0
-    for element in list(document.root.iter_elements()):
-        kept = []
-        for child in element.children:
-            if isinstance(child, ElementNode) and child.tag in NON_CONTENT_ELEMENTS:
-                removed += 1
-            else:
-                kept.append(child)
-        if len(kept) != len(element.children):
-            element.children = kept
-            element.reindex_children()
-    if removed:
-        # The structural signature (and any cached signature-derived state)
-        # no longer reflects the tree.
-        document._page_signature = None
-    return removed
+    return Document(fragment, url=url)

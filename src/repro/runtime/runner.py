@@ -267,12 +267,22 @@ def load_site_documents(pages_dir: str | Path) -> list[Document]:
     paths = _page_files(Path(pages_dir))
     if not paths:
         raise FileNotFoundError(f"no .html/.htm files found in {pages_dir!r}")
-    return [
-        parse_html(
-            page.read_text(encoding="utf-8", errors="replace"), url=page.name
-        )
-        for page in paths
-    ]
+    with _parse_stage(paths):
+        return [
+            parse_html(
+                page.read_text(encoding="utf-8", errors="replace"), url=page.name
+            )
+            for page in paths
+        ]
+
+
+def _parse_stage(paths: list[Path]):
+    """The ``stage.parse`` region over one site's page files; the files'
+    bytes are only summed when a tracer records them."""
+    n_bytes = (
+        sum(path.stat().st_size for path in paths) if obs.tracing_enabled() else None
+    )
+    return obs.stage("stage.parse", pages=len(paths), bytes=n_bytes)
 
 
 def _load_documents(
@@ -292,20 +302,21 @@ def _load_documents(
         raise FileNotFoundError(f"no .html/.htm files found in {pages_dir!r}")
     documents: list[Document] = []
     quarantined: list[str] = []
-    for path in paths:
-        try:
-            with resilience.deadline(page_timeout if isolate else None):
-                fault_point("page.parse", site=site, page=path.name)
-                documents.append(
-                    parse_html(
-                        path.read_text(encoding="utf-8", errors="replace"),
-                        url=path.name,
+    with _parse_stage(paths):
+        for path in paths:
+            try:
+                with resilience.deadline(page_timeout if isolate else None):
+                    fault_point("page.parse", site=site, page=path.name)
+                    documents.append(
+                        parse_html(
+                            path.read_text(encoding="utf-8", errors="replace"),
+                            url=path.name,
+                        )
                     )
-                )
-        except Exception:  # noqa: BLE001 — quarantine is the contract
-            if not isolate:
-                raise
-            quarantined.append(path.name)
+            except Exception:  # noqa: BLE001 — quarantine is the contract
+                if not isolate:
+                    raise
+                quarantined.append(path.name)
     if isolate and not documents:
         raise RuntimeError(
             f"all {len(paths)} page(s) of {pages_dir!r} were quarantined"

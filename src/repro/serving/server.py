@@ -451,32 +451,37 @@ class ServingServer:
                 400, {"error": "body must carry a non-empty 'pages' list"}
             )
         documents = []
-        for index, page in enumerate(pages):
-            if not isinstance(page, dict) or not isinstance(
-                page.get("html"), str
-            ):
-                raise _JsonReply(
-                    400,
-                    {"error": f"pages[{index}] must carry an 'html' string"},
-                )
-            try:
-                documents.append(
-                    parse_html(
-                        page["html"],
-                        url=str(page.get("url", f"page-{index}")),
-                        max_depth=self._max_parse_depth,
-                        max_nodes=self._max_parse_nodes,
+        with obs.stage("stage.parse", pages=len(pages)) as stage:
+            for index, page in enumerate(pages):
+                if not isinstance(page, dict) or not isinstance(
+                    page.get("html"), str
+                ):
+                    raise _JsonReply(
+                        400,
+                        {"error": f"pages[{index}] must carry an 'html' string"},
                     )
-                )
-            except ParseLimitError as exc:
-                obs.metrics().inc("serving.parse_rejected")
-                raise _JsonReply(
-                    422,
-                    {
-                        "error": f"pages[{index}]: {exc}",
-                        "category": "permanent",
-                    },
-                ) from None
+                try:
+                    documents.append(
+                        parse_html(
+                            page["html"],
+                            url=str(page.get("url", f"page-{index}")),
+                            max_depth=self._max_parse_depth,
+                            max_nodes=self._max_parse_nodes,
+                        )
+                    )
+                except ParseLimitError as exc:
+                    obs.metrics().inc("serving.parse_rejected")
+                    raise _JsonReply(
+                        422,
+                        {
+                            "error": f"pages[{index}]: {exc}",
+                            "category": "permanent",
+                        },
+                    ) from None
+            if obs.tracing_enabled():
+                stage.set(bytes=sum(
+                    len(page["html"].encode("utf-8", "surrogatepass")) for page in pages
+                ))
         return documents
 
     @staticmethod

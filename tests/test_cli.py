@@ -226,6 +226,65 @@ class TestRunCorpusCommand:
         assert out.read_text() == "rows of an earlier run\n"
 
 
+class TestBadOutputPaths:
+    """An output path no file can be written at is a one-line usage error
+    before any work: run-corpus truncates no --output and writes no
+    registry or run dir (it used to run every site first, then lose the
+    fused facts or the trace to a traceback)."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--output", "--fuse-output", "--trace-output", "--metrics-output"]
+    )
+    def test_run_corpus_refuses_a_missing_directory_before_any_site(
+        self, corpus_on_disk, tmp_path, flag
+    ):
+        _, kb_path, corpus, _ = corpus_on_disk
+        out = tmp_path / "out.jsonl"
+        out.write_text("rows of an earlier run\n")
+        bad = tmp_path / "nt_x" / "file.jsonl"
+        outputs = ["--output", str(bad)] if flag == "--output" else [
+            "--output", str(out), flag, str(bad)]
+        with pytest.raises(
+            SystemExit, match=re.escape(f"cannot write {bad}: no directory {bad.parent}")
+        ):
+            main(["run-corpus", "--kb", str(kb_path), "--corpus", str(corpus),
+                  "--registry", str(tmp_path / "models"),
+                  "--run-dir", str(tmp_path / "run"), "--workers", "1", *outputs])
+        assert out.read_text() == "rows of an earlier run\n"
+        assert not (tmp_path / "models").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_a_directory_is_refused(self, site_on_disk, tmp_path):
+        _, kb_path, pages_dir = site_on_disk
+        with pytest.raises(SystemExit, match=f"cannot write {re.escape(str(tmp_path))}: "
+                           "it is a directory"):
+            main(["extract", "--kb", str(kb_path), "--pages", str(pages_dir),
+                  "--output", str(tmp_path)])
+
+    def test_a_sink_that_cannot_open_names_its_path(self, tmp_path):
+        from repro.__main__ import _open_sink
+
+        bad = tmp_path / "gone" / "rows.jsonl"
+        with pytest.raises(SystemExit, match=re.escape(f"cannot write {bad}: ")):
+            _open_sink(str(bad))
+
+    def test_the_command_line_prints_one_line_not_a_traceback(
+        self, corpus_on_disk, tmp_path
+    ):
+        _, kb_path, corpus, _ = corpus_on_disk
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run-corpus", "--kb", str(kb_path),
+             "--corpus", str(corpus), "--registry", "nt_x/models",
+             "--output", "nt_x/rows.jsonl"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "cannot write nt_x/rows.jsonl: no directory nt_x\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFuseCommand:
     def test_run_corpus_fuse_output_equals_standalone_fuse(
         self, corpus_on_disk, tmp_path

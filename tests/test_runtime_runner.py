@@ -653,6 +653,34 @@ class TestRunCorpusGlobalModel:
                 site_names
             ), name
 
+    def test_each_site_parses_in_one_stage(self, corpus_on_disk, tmp_path):
+        """One ``stage.parse`` span per site, under its ``site.run`` root,
+        carrying the site's page count and file bytes."""
+        from repro import obs
+
+        _, kb_path, corpus_dir, _, site_names = corpus_on_disk
+        with obs.scoped(tracing=True, metrics=True) as (tracer, registry):
+            run_corpus(corpus_dir, kb_path, tmp_path / "models", max_workers=2)
+            histograms = registry.snapshot()["histograms"]
+            spans = tracer.export()
+        by_id = {span["span_id"]: span for span in spans}
+        parses = {}
+        for span in spans:
+            if span["name"] == "stage.parse":
+                root = span
+                while root["parent_id"] is not None:
+                    root = by_id[root["parent_id"]]
+                assert root["name"] == "site.run"
+                parses[root["attrs"]["site"]] = span["attrs"]
+        assert sorted(parses) == sorted(site_names)
+        for site, attrs in parses.items():
+            files = sorted((corpus_dir / site).glob("*.html"))
+            assert attrs == {
+                "pages": len(files),
+                "bytes": sum(path.stat().st_size for path in files),
+            }
+        assert histograms["stage.parse_seconds"]["count"] == len(site_names)
+
     @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
     def test_inline_run_parses_each_page_and_the_kb_once(
         self, corpus_on_disk, tmp_path, monkeypatch, resume

@@ -349,6 +349,20 @@ class TestHttpServing:
             "site", "page", "subject", "predicate", "object", "confidence",
         }
 
+    def test_each_request_parses_in_one_stage(self, serving, trained_world):
+        """One ``stage.parse`` span (pages, bytes) and one
+        ``stage.parse_seconds`` observation per request."""
+        tracer, registry = obs.enable(tracing=True, metrics=True)
+        payload = _request(trained_world, n_pages=3)
+        status, _, _ = _post(serving.port, payload)
+        assert status == 200
+        spans = [span for span in tracer.export() if span["name"] == "stage.parse"]
+        assert [span["attrs"] for span in spans] == [{
+            "pages": 3,
+            "bytes": sum(len(page["html"].encode()) for page in payload["pages"]),
+        }]
+        assert registry.snapshot()["histograms"]["stage.parse_seconds"]["count"] == 1
+
     def test_concurrent_single_page_requests_all_answered(
         self, serving, trained_world
     ):
