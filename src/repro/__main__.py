@@ -614,6 +614,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_http(args) -> int:
+    import gc
     import signal
 
     from repro.serving import ServingConfig, ServingServer
@@ -629,6 +630,11 @@ def _cmd_serve_http(args) -> int:
     if not obs.metrics_enabled():
         obs.enable(tracing=False, metrics=True)
     server = ServingServer(service, serving_config)
+    # What is alive now (imported modules, the service) lives as long as
+    # the process: freeze it out of the collector's walk, so a full
+    # collection visits only what came later.  Site models load on
+    # demand and stay collectable, so residency eviction frees them.
+    gc.freeze()
     try:
         server.start()
     except OSError as error:

@@ -12,6 +12,7 @@ from collections.abc import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rule import LintContext, Rule
+from repro.analysis.rules_ported import ModuleMemberRule
 
 # Declarative lock registry: module path -> {attribute -> guarding lock}.
 # An attribute listed here may only be touched through `self.<attr>` inside
@@ -356,9 +357,42 @@ class ExceptionTaxonomyRule(Rule):
                 )
 
 
+class GcPolicyRule(ModuleMemberRule):
+    """The collector's process-wide switches belong to the process owner."""
+
+    id = "gc-policy"
+    summary = "gc freeze/collect/enable/thresholds only in __main__ and the runner"
+    rationale = (
+        "The garbage collector is process-wide state: a freeze, a forced "
+        "collection, a disable or a threshold change acts on every thread "
+        "and on whatever hosts the code (tests, in-process servers).  "
+        "Only the process owners touch it: serve-http's start-up freeze "
+        "in repro/__main__.py and the corpus runner's seed-KB freeze in "
+        "repro/runtime/runner.py.  Parsed documents free by refcount "
+        "(Document.release), not by a collection."
+    )
+    fix_hint = (
+        "release what you own (Document.release) and leave the collector "
+        "to __main__.py or the runner"
+    )
+    module_name = "gc"
+    members = frozenset(
+        {"freeze", "unfreeze", "collect", "disable", "enable", "set_threshold"}
+    )
+
+    _ALLOWED = frozenset({"repro/__main__.py", "repro/runtime/runner.py"})
+
+    def applies_to(self, module: str) -> bool:
+        return module.startswith("repro/") and module not in self._ALLOWED
+
+    def _message(self) -> str:
+        return "the collector is process-wide state"
+
+
 DISCIPLINE_RULES: tuple[Rule, ...] = (
     LockDisciplineRule(),
     UnsortedSetIterationRule(),
     AtomicWriteRule(),
     ExceptionTaxonomyRule(),
+    GcPolicyRule(),
 )

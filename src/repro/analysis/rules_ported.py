@@ -99,53 +99,56 @@ class SiblingIndexScanRule(Rule):
                 )
 
 
-def _time_module_aliases(tree: ast.Module) -> set[str]:
+def _module_aliases(tree: ast.Module, module: str) -> set[str]:
     aliases: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "time":
-                    aliases.add(alias.asname or "time")
+                if alias.name == module:
+                    aliases.add(alias.asname or module)
     return aliases
 
 
-class _TimeMemberRule(Rule):
-    """Shared machinery: flag use of one member of the ``time`` module.
+class ModuleMemberRule(Rule):
+    """Shared machinery: flag use of some members of one module.
 
     Alias-aware on both axes: ``import time as t; t.sleep(...)`` and
     ``from time import sleep as pause; pause(...)`` are both caught.
     """
 
-    member = ""
+    module_name = ""
+    members: frozenset[str] = frozenset()
 
     def _message(self) -> str:
         raise NotImplementedError
 
     def check(self, context: LintContext) -> Iterator[Finding]:
-        module_aliases = _time_module_aliases(context.tree)
-        member_names: set[str] = set()
+        module = self.module_name
+        module_aliases = _module_aliases(context.tree, module)
+        #: local name -> the member it was imported as
+        member_names: dict[str, str] = {}
         for node in ast.walk(context.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
+            if isinstance(node, ast.ImportFrom) and node.module == module:
                 for alias in node.names:
-                    if alias.name == self.member:
-                        member_names.add(alias.asname or alias.name)
+                    if alias.name in self.members:
+                        member_names[alias.asname or alias.name] = alias.name
                         yield self.finding(
                             context,
                             node,
-                            f"`from time import {self.member}` — "
+                            f"`from {module} import {alias.name}` — "
                             + self._message(),
                         )
         for node in ast.walk(context.tree):
             if (
                 isinstance(node, ast.Attribute)
-                and node.attr == self.member
+                and node.attr in self.members
                 and isinstance(node.value, ast.Name)
                 and node.value.id in module_aliases
             ):
                 yield self.finding(
                     context,
                     node,
-                    f"{node.value.id}.{self.member} — " + self._message(),
+                    f"{node.value.id}.{node.attr} — " + self._message(),
                 )
             elif (
                 isinstance(node, ast.Call)
@@ -155,12 +158,13 @@ class _TimeMemberRule(Rule):
                 yield self.finding(
                     context,
                     node,
-                    f"{node.func.id}() call of time.{self.member} — "
+                    f"{node.func.id}() call of "
+                    f"{module}.{member_names[node.func.id]} — "
                     + self._message(),
                 )
 
 
-class BareSleepRule(_TimeMemberRule):
+class BareSleepRule(ModuleMemberRule):
     """Retry waiting must go through ``sleep_backoff``."""
 
     id = "bare-sleep"
@@ -174,7 +178,8 @@ class BareSleepRule(_TimeMemberRule):
         "retries."
     )
     fix_hint = "use repro.runtime.resilience.sleep_backoff"
-    member = "sleep"
+    module_name = "time"
+    members = frozenset({"sleep"})
 
     _ALLOWED = frozenset(
         {"repro/runtime/resilience.py", "repro/testing/faults.py"}
@@ -189,7 +194,7 @@ class BareSleepRule(_TimeMemberRule):
         return "bare sleep outside the sanctioned resilience/faults modules"
 
 
-class BarePerfCounterRule(_TimeMemberRule):
+class BarePerfCounterRule(ModuleMemberRule):
     """Benchmarks must time through ``repro.obs``."""
 
     id = "bare-perf-counter"
@@ -201,7 +206,8 @@ class BarePerfCounterRule(_TimeMemberRule):
         "sees."
     )
     fix_hint = "time via repro.obs (MetricsRegistry.timer)"
-    member = "perf_counter"
+    module_name = "time"
+    members = frozenset({"perf_counter"})
 
     def applies_to(self, module: str) -> bool:
         return module.startswith("benchmarks/")

@@ -16,6 +16,14 @@ nodes.  The parser sets each node's index as it attaches the node, from
 per-parent counts, so building a wide parent stays linear.  XPaths are
 computed lazily and cached; trees are treated as immutable once built by
 the parser.
+
+Each node's ``parent`` link closes a reference cycle with its parent's
+``children``, which only the cyclic garbage collector can break.  The
+owner of a parsed tree therefore ends its life with
+:meth:`repro.dom.parser.Document.release`, which drops every ``parent``
+link so the tree frees by reference counting.  A node held past that
+point keeps the ``xpath`` it had already cached, but ``parent`` is
+``None``: its ancestors (and an ``xpath`` not yet computed) are gone.
 """
 
 from __future__ import annotations

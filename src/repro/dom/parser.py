@@ -38,13 +38,26 @@ The resulting :class:`Document` exposes ``text_fields()`` — the
 document-order list of visible, non-whitespace text nodes that CERES
 annotates and classifies.
 
+**Release contract.**  A parsed tree is a reference cycle (each node's
+``parent`` points back at the element whose ``children`` hold it), so
+only the cyclic garbage collector can free it, and every full
+collection pays for walking it first.  A document has one owner — the
+serving tier's request handler, the corpus runner's site attempt — and
+that owner calls :meth:`Document.release` once nothing will read the
+tree again.  Without its parent links the tree frees by reference
+counting the moment its last reference goes.  A released document
+refuses further use (its ``root`` is ``None``) rather than hand out
+nodes whose ``xpath`` lost its ancestors.
+
 Hostile-input hardening: :func:`parse_html` accepts ``max_depth`` /
 ``max_nodes`` caps (the serving tier passes
 :attr:`~repro.core.config.CeresConfig.max_parse_depth` /
 :attr:`~repro.core.config.CeresConfig.max_parse_nodes`), raising
 :class:`ParseLimitError` — a permanently-classified error — instead of
 letting a POSTed ``<div><div><div>…`` bomb blow the recursion limit or
-RAM.  Trusted corpus files parse uncapped by default.
+RAM.  Trusted corpus files parse uncapped by default.  A ``<![`` section
+``_markupbase`` cannot read raises :class:`MarkedSectionError`; both are
+``ValueError`` subclasses: the client's error, not the parser's.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ from html import unescape
 
 from repro.dom.node import NON_CONTENT_ELEMENTS, VOID_ELEMENTS, ElementNode, TextNode
 
-__all__ = ["Document", "ParseLimitError", "parse_html"]
+__all__ = ["Document", "MarkedSectionError", "ParseLimitError", "parse_html"]
 
 
 class ParseLimitError(ValueError):
@@ -67,6 +80,19 @@ class ParseLimitError(ValueError):
     retrying the same payload cannot help) — the serving tier answers it
     with a client-error status instead of melting down.
     """
+
+
+class MarkedSectionError(ValueError):
+    """A ``<![`` section whose keyword ``_markupbase`` cannot read: no
+    name token, or a status keyword it does not know (``<![foo]>``).
+
+    ``html.parser`` 3.11 raises ``AssertionError`` there; reading the
+    section as html5's bogus comment would change trees, so the port
+    keeps the refusal and gives it a name.  A ``ValueError``, so
+    :func:`~repro.runtime.resilience.classify_error` calls it permanent
+    and the serving tier answers 422.
+    """
+
 
 #: Monotonic source of :attr:`Document.doc_id` values.  ``next()`` on an
 #: ``itertools.count`` is atomic under the GIL, so concurrent parsing
@@ -96,7 +122,8 @@ class Document:
     """A parsed HTML page.
 
     Attributes:
-        root: the ``<html>`` element (or a synthetic root for fragments).
+        root: the ``<html>`` element (or a synthetic root for fragments);
+            ``None`` once :meth:`release` ran.
         url: optional source identifier, carried through for reporting.
         doc_id: process-unique serial assigned at construction.  Unlike
             ``id(self)``, a ``doc_id`` is never recycled after garbage
@@ -106,7 +133,7 @@ class Document:
     """
 
     def __init__(self, root: ElementNode, url: str = "") -> None:
-        self.root = root
+        self.root: ElementNode | None = root
         self.url = url
         self.doc_id: int = next(_DOC_ID_COUNTER)
         self._text_fields: list[TextNode] | None = None
@@ -118,7 +145,34 @@ class Document:
         self._page_signature: frozenset[str] | None = None
 
     def __repr__(self) -> str:
+        if self.root is None:
+            return f"<Document url={self.url!r} released>"
         return f"<Document url={self.url!r} fields={len(self.text_fields())}>"
+
+    def release(self) -> None:
+        """Free the tree by reference counting: drop every node's
+        ``parent`` link and the document's own hold on its root.
+
+        The owner of a document calls this once nothing will read the
+        tree again (see the module's release contract).  The document
+        is unusable afterwards: ``text_fields()``, ``node_at()`` and
+        ``iter_elements()`` raise ``RuntimeError``.  Nodes a caller
+        still holds keep their cached ``xpath`` but no longer know their
+        ancestors.  Idempotent.
+        """
+        root = self.root
+        if root is None:
+            return
+        self.root = None
+        self._text_fields = None
+        self._xpath_index = None
+        _unlink(root)
+
+    def _tree(self) -> ElementNode:
+        """The root, or a loud error for a released document."""
+        if self.root is None:
+            raise RuntimeError(f"document {self.url!r} was released")
+        return self.root
 
     def text_fields(self) -> list[TextNode]:
         """Document-order visible text nodes with non-whitespace content.
@@ -131,7 +185,7 @@ class Document:
         if self._text_fields is None:
             fields: list[TextNode] = []
             append_field = fields.append
-            stack: list = [self.root]
+            stack: list = [self._tree()]
             pop = stack.pop
             extend = stack.extend
             while stack:
@@ -146,7 +200,7 @@ class Document:
 
     def iter_elements(self):
         """Document-order iteration over all elements."""
-        return self.root.iter_elements()
+        return self._tree().iter_elements()
 
     def node_at(self, xpath: str):
         """Return the node at an absolute XPath, or ``None``.
@@ -156,13 +210,25 @@ class Document:
         """
         if self._xpath_index is None:
             index: dict[str, ElementNode | TextNode] = {}
-            for element in self.root.iter_elements():
+            for element in self._tree().iter_elements():
                 index[element.xpath] = element
                 for child in element.children:
                     if child.is_text:
                         index[child.xpath] = child
             self._xpath_index = index
         return self._xpath_index.get(xpath)
+
+
+def _unlink(root: ElementNode) -> None:
+    """Drop the ``parent`` link of every node below ``root``."""
+    stack = [root]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        element = pop()
+        for child in element.children:
+            child.parent = None
+        extend(element._element_children)
 
 
 # -- tokens ------------------------------------------------------------------
@@ -227,18 +293,19 @@ _CUT_START_TAG = re.compile(r"<[a-zA-Z][^\t\n\r\f />\x00]*(?<![\'\"\s])(?=\x00)"
 def _section_close(html: str, i: int) -> re.Pattern | None:
     """``_markupbase``'s reading of the ``<![`` section at ``i``: the
     pattern that closes it, or ``None`` if its name runs to the end of the
-    input.  Raises ``AssertionError`` where ``_markupbase`` does."""
+    input.  Raises :class:`MarkedSectionError` where ``_markupbase``
+    asserts, with its message."""
     start = i + 3
     name = _DECLNAME.match(html, start)
     if name is None:
         if start == len(html):
             return None
-        raise AssertionError(f"expected name token at {html[i:i + 20]!r}")
+        raise MarkedSectionError(f"expected name token at {html[i:i + 20]!r}")
     if name.end() == len(html):
         return None
     close = _SECTION_CLOSE.get(name.group().strip().lower())
     if close is None:
-        raise AssertionError(
+        raise MarkedSectionError(
             f"unknown status keyword {html[start:name.end()]!r} in marked section"
         )
     return close
@@ -528,9 +595,13 @@ def parse_html(
         top.children.append(node)
     for child in fragment.element_children():
         if child.tag == "html":
-            # Detach so the <html> element is a true root with depth 0 and
-            # an xpath of /html[1].
-            child.parent = None
+            # The <html> element becomes a true root with depth 0 and an
+            # xpath of /html[1].  The rest of the fragment (text and stray
+            # elements outside <html>) is dropped, unlinked so that it
+            # frees by refcount rather than as a cycle; out of the
+            # element children, <html> loses only its own parent link.
+            fragment._element_children.remove(child)
+            _unlink(fragment)
             child.tag_index = 1
             return Document(child, url=url)
     return Document(fragment, url=url)

@@ -421,6 +421,8 @@ def _attempt_site(
     featurized training examples for the global model
     (:func:`~repro.transfer.trainer.featurize_site`), built while the
     parsed pages are at hand so the parent never re-parses the site.
+    The attempt owns the pages it parsed and releases them
+    (:meth:`~repro.dom.parser.Document.release`) once both are built.
 
     In the normal (full-batch) mode the caller wraps the whole call in a
     single :func:`~repro.runtime.resilience.deadline`.  In degraded
@@ -497,6 +499,9 @@ def _attempt_site(
         # cumulative per instance).
         service.publish_metrics(site_metrics)
         site_metrics.record_cache(pipeline.matcher.cache_stats())
+    # The rows and samples are plain data: the trees free by refcount.
+    for document in documents:
+        document.release()
     return rows, samples
 
 
@@ -606,11 +611,6 @@ def _run_site(
         report.metrics = site_metrics.snapshot()
         if trace:
             report.spans = site_tracer.export()
-    # The site's DOM trees are cyclic (``ElementNode.parent``) and old
-    # enough to sit in the oldest generation: free them before the next
-    # site rather than whenever a full collection next runs.  Cheap,
-    # because the memoized KB is frozen out of the walk.
-    gc.collect()
     return {"report": report.__dict__, "rows": rows, "global_samples": samples}
 
 

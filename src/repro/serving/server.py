@@ -24,13 +24,19 @@ than around the happy path.
   flushes everything already accepted, then exits 0.  Every accepted
   request is answered exactly once, drain or no drain.
 
+* **Documents free by refcount.**  The handler thread owns its
+  request's parsed documents and releases them
+  (:meth:`~repro.dom.parser.Document.release`) once no worker can read
+  them, so the cyclic collector never has to find a request's trees.
+
 Endpoints: ``POST /extract``, ``GET /healthz`` (process liveness),
 ``GET /readyz`` (admission state), ``GET /stats`` (queue, breakers,
-metrics, cache residency).
+metrics, cache residency, the garbage collector's counters).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import threading
@@ -38,7 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
 from repro.core.config import CeresConfig
-from repro.dom.parser import ParseLimitError, parse_html
+from repro.dom.parser import MarkedSectionError, ParseLimitError, parse_html
 from repro.runtime.resilience import Deadline, classify_error
 from repro.runtime.runner import extraction_row
 from repro.serving.batching import (
@@ -303,6 +309,12 @@ class ServingServer:
 
         Returns ``(status, payload, retry_after)``; raises
         :class:`_JsonReply` for early-out responses.
+
+        The handler owns the request's documents and releases them on
+        the way out: after a refusal before admission, or once a worker
+        delivered the outcome (workers build every row before they
+        fulfill).  A 504 whose ``forsake()`` wins hands them to the
+        collector instead, because a worker may still be scoring them.
         """
         payload = self._read_request(handler)
         site = payload.get("site")
@@ -310,57 +322,63 @@ class ServingServer:
             raise _JsonReply(400, {"error": "body must carry a 'site' string"})
         fault_point("serving.handle", site=site)
         documents = self._parse_pages(payload)
-        threshold = self._number_field(payload, "threshold")
-        deadline_s = self.config.request_deadline
-        client_deadline = self._number_field(payload, "deadline")
-        if client_deadline is not None and client_deadline > 0:
-            deadline_s = min(deadline_s, client_deadline)
-        if self.phase != PHASE_READY:
-            raise _JsonReply(
-                503,
-                {"error": "server is draining", "category": "overload"},
-                retry_after=self.config.retry_after,
-            )
+        n_pages = len(documents)
         registry = obs.metrics()
-        request = PendingRequest(
-            site=site,
-            documents=documents,
-            threshold=threshold,
-            deadline=Deadline(deadline_s),
-        )
-        verdict = self.queue.offer(request)
-        if verdict == OFFER_FULL:
-            registry.inc("serving.shed")
-            raise _JsonReply(
-                429,
-                {"error": "admission queue is full", "category": "overload"},
-                retry_after=self.config.retry_after,
-            )
-        if verdict != OFFER_ACCEPTED:
-            raise _JsonReply(
-                503,
-                {"error": "server is draining", "category": "overload"},
-                retry_after=self.config.retry_after,
-            )
-        registry.inc("serving.accepted")
-        registry.observe("serving.queue_depth", self.queue.stats()["depth"])
-        self._begin_request()
         try:
-            fulfilled = request.wait()
-            if not fulfilled and request.forsake():
-                registry.inc("serving.deadline_expired")
+            threshold = self._number_field(payload, "threshold")
+            deadline_s = self.config.request_deadline
+            client_deadline = self._number_field(payload, "deadline")
+            if client_deadline is not None and client_deadline > 0:
+                deadline_s = min(deadline_s, client_deadline)
+            if self.phase != PHASE_READY:
                 raise _JsonReply(
-                    504,
-                    {
-                        "error": (
-                            f"deadline of {deadline_s}s expired before "
-                            "a worker could answer"
-                        ),
-                        "category": "overload",
-                    },
+                    503,
+                    {"error": "server is draining", "category": "overload"},
+                    retry_after=self.config.retry_after,
                 )
+            request = PendingRequest(
+                site=site,
+                documents=documents,
+                threshold=threshold,
+                deadline=Deadline(deadline_s),
+            )
+            verdict = self.queue.offer(request)
+            if verdict == OFFER_FULL:
+                registry.inc("serving.shed")
+                raise _JsonReply(
+                    429,
+                    {"error": "admission queue is full", "category": "overload"},
+                    retry_after=self.config.retry_after,
+                )
+            if verdict != OFFER_ACCEPTED:
+                raise _JsonReply(
+                    503,
+                    {"error": "server is draining", "category": "overload"},
+                    retry_after=self.config.retry_after,
+                )
+            registry.inc("serving.accepted")
+            registry.observe("serving.queue_depth", self.queue.stats()["depth"])
+            self._begin_request()
+            try:
+                fulfilled = request.wait()
+                if not fulfilled and request.forsake():
+                    documents = []  # a worker may still be scoring them
+                    registry.inc("serving.deadline_expired")
+                    raise _JsonReply(
+                        504,
+                        {
+                            "error": (
+                                f"deadline of {deadline_s}s expired before "
+                                "a worker could answer"
+                            ),
+                            "category": "overload",
+                        },
+                    )
+            finally:
+                self._end_request()
         finally:
-            self._end_request()
+            for document in documents:
+                document.release()
         outcome = request.outcome
         registry.inc("serving.responses")
         if outcome[0] == "ok":
@@ -370,7 +388,7 @@ class ServingServer:
                 {
                     "site": site,
                     "model": model,
-                    "pages": len(documents),
+                    "pages": n_pages,
                     "extractions": len(rows),
                     "rows": rows,
                 },
@@ -451,37 +469,43 @@ class ServingServer:
                 400, {"error": "body must carry a non-empty 'pages' list"}
             )
         documents = []
-        with obs.stage("stage.parse", pages=len(pages)) as stage:
-            for index, page in enumerate(pages):
-                if not isinstance(page, dict) or not isinstance(
-                    page.get("html"), str
-                ):
-                    raise _JsonReply(
-                        400,
-                        {"error": f"pages[{index}] must carry an 'html' string"},
-                    )
-                try:
-                    documents.append(
-                        parse_html(
-                            page["html"],
-                            url=str(page.get("url", f"page-{index}")),
-                            max_depth=self._max_parse_depth,
-                            max_nodes=self._max_parse_nodes,
+        try:
+            with obs.stage("stage.parse", pages=len(pages)) as stage:
+                for index, page in enumerate(pages):
+                    if not isinstance(page, dict) or not isinstance(
+                        page.get("html"), str
+                    ):
+                        raise _JsonReply(
+                            400,
+                            {"error": f"pages[{index}] must carry an 'html' string"},
                         )
-                    )
-                except ParseLimitError as exc:
-                    obs.metrics().inc("serving.parse_rejected")
-                    raise _JsonReply(
-                        422,
-                        {
-                            "error": f"pages[{index}]: {exc}",
-                            "category": "permanent",
-                        },
-                    ) from None
-            if obs.tracing_enabled():
-                stage.set(bytes=sum(
-                    len(page["html"].encode("utf-8", "surrogatepass")) for page in pages
-                ))
+                    try:
+                        documents.append(
+                            parse_html(
+                                page["html"],
+                                url=str(page.get("url", f"page-{index}")),
+                                max_depth=self._max_parse_depth,
+                                max_nodes=self._max_parse_nodes,
+                            )
+                        )
+                    except (ParseLimitError, MarkedSectionError) as exc:
+                        obs.metrics().inc("serving.parse_rejected")
+                        raise _JsonReply(
+                            422,
+                            {
+                                "error": f"pages[{index}]: {exc}",
+                                "category": "permanent",
+                            },
+                        ) from None
+                if obs.tracing_enabled():
+                    stage.set(bytes=sum(
+                        len(page["html"].encode("utf-8", "surrogatepass"))
+                        for page in pages
+                    ))
+        except _JsonReply:
+            for document in documents:  # the pages before the refused one
+                document.release()
+            raise
         return documents
 
     @staticmethod
@@ -516,6 +540,10 @@ class ServingServer:
             "breakers": self.breakers.snapshot(),
             "metrics": obs.metrics().snapshot(),
             "service": self.service.cache_stats(),
+            "gc": {
+                "frozen": gc.get_freeze_count(),
+                "generations": gc.get_stats(),
+            },
         }
 
     # -- batch path (worker threads) ---------------------------------------

@@ -228,6 +228,8 @@ def train_global_from_corpus(
                 f"site={spec.site} pages={len(documents)} "
                 f"examples={len(samples.labels)}"
             )
+            for document in documents:
+                document.release()
         pools.append(samples)
     model = fit_global(pools, config)
     path: Path | None = None

@@ -249,6 +249,19 @@ class TestParseLimits:
         doc = parse_html(deep)  # trusted-corpus path stays permissive
         assert doc.root is not None
 
+    @pytest.mark.parametrize("html", ["<p><![foo]>x</p>", "<p><![ x]>y</p>", "<![ "])
+    def test_unreadable_marked_section_is_a_named_value_error(self, html):
+        """``html.parser`` 3.11 asserts on these; the port raises a
+        ``ValueError`` subclass with the same message, which the error
+        taxonomy calls permanent (serve-http answers 422)."""
+        from repro.dom.parser import MarkedSectionError
+        from repro.runtime.resilience import classify_error
+
+        with pytest.raises(MarkedSectionError) as caught:
+            parse_html(html)
+        assert isinstance(caught.value, ValueError)
+        assert classify_error(caught.value) == "permanent"
+
     def test_depth_cap_ignores_void_elements(self):
         flat = "<html><body>" + "<br/>" * 50 + "</body></html>"
         doc = parse_html(flat, max_depth=10)  # <br> never nests
@@ -313,3 +326,49 @@ class TestSiblingIndices:
                     got = node.text_index if node.is_text else node.tag_index
                     assert (got, node.xpath) == (index, xpath)
                     assert doc.node_at(xpath) is node
+
+
+def _live_dom_nodes() -> int:
+    import gc
+
+    return sum(
+        1 for obj in gc.get_objects() if isinstance(obj, (ElementNode, TextNode))
+    )
+
+
+class TestRelease:
+    """A parsed tree is a ``parent``/``children`` reference cycle;
+    :meth:`Document.release` lets refcounting free it."""
+
+    def test_released_document_frees_without_the_collector(self):
+        import gc
+
+        gc.collect()
+        before = _live_dom_nodes()
+        gc.disable()
+        try:
+            doc = parse_html(SIMPLE)
+            doc.text_fields()
+            doc.node_at("/html[1]/body[1]/div[1]")
+            assert _live_dom_nodes() > before
+            doc.release()
+            del doc
+            assert _live_dom_nodes() == before
+        finally:
+            gc.enable()
+
+    def test_released_document_refuses_use(self):
+        doc = parse_html(SIMPLE)
+        field = doc.text_fields()[0]
+        cached_xpath = field.xpath
+        doc.release()
+        doc.release()  # idempotent
+        assert doc.root is None
+        assert "released" in repr(doc)
+        for use in (doc.text_fields, doc.iter_elements, lambda: doc.node_at("/html[1]")):
+            with pytest.raises(RuntimeError, match="released"):
+                use()
+        # A node the caller kept has no ancestors left, only the xpath it
+        # had already cached.
+        assert field.parent is None
+        assert field.xpath == cached_xpath

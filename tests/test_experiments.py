@@ -16,6 +16,7 @@ import pytest
 from repro.datasets import generate_imdb
 from repro.datasets.commoncrawl import CCSiteConfig
 from repro.evaluation.experiments import (
+    run_annotation_evidence_ablation,
     run_figure4,
     run_figure6,
     run_table1,
@@ -155,3 +156,18 @@ class TestFigure4:
         for _, overlap, f1 in result.points:
             assert 0 <= f1 <= 1
             assert overlap >= 0
+
+
+class TestAnnotationEvidenceAblation:
+    def test_evidence_orderings(self):
+        """The local-only annotator overrides ``_choose_mention``; it
+        must take the ``best_local`` argument the annotator passes (a
+        missing one made the ablation raise ``TypeError``).  Orderings
+        as in ``bench_ablation_annotation_evidence.py``."""
+        result = run_annotation_evidence_ablation(seed=0)
+        all_mentions = result.scores["all-mentions (CERES-Topic)"]
+        local = result.scores["local evidence only"]
+        full = result.scores["local + global (CERES-Full)"]
+        assert full.precision >= local.precision >= all_mentions.precision - 0.02
+        assert full.f1 >= all_mentions.f1
+        assert "Ablation" in result.format()

@@ -93,6 +93,21 @@ RULE_FIXTURES = [
         "with obs.metrics().timer('bench.seconds'):\n    pass\n",
     ),
     (
+        "gc-policy",
+        "repro/serving/server.py",
+        "import gc\ngc.freeze()\n",
+        1,
+        "import gc\nstats = {'frozen': gc.get_freeze_count(), "
+        "'generations': gc.get_stats()}\n",
+    ),
+    (
+        "gc-policy",
+        "repro/dom/parser.py",
+        "from gc import collect as sweep\nsweep()\n",
+        2,  # the import and the aliased call
+        "for document in documents:\n    document.release()\n",
+    ),
+    (
         "rounded-confidence",
         "repro/runtime/runner.py",
         "row = {'confidence': round(extraction.confidence, 4)}\n",
@@ -240,6 +255,12 @@ class TestRuleFixtures:
         # atomic-write discipline stops at the sanctioned primitive
         writing = "sink = open(path, 'w')\n"
         assert active_ids(lint(writing, "repro/runtime/resilience.py")) == []
+        # the collector belongs to the process owners; benchmarks collect
+        # to measure RSS
+        collecting = "import gc\ngc.freeze()\ngc.collect()\n"
+        assert active_ids(lint(collecting, "repro/__main__.py")) == []
+        assert active_ids(lint(collecting, "repro/runtime/runner.py")) == []
+        assert active_ids(lint(collecting, "benchmarks/bench_fusion.py")) == []
 
     def test_unparseable_module_is_a_parse_error_finding(self):
         findings = lint("def broken(:\n", "repro/kb/matcher.py")

@@ -256,6 +256,42 @@ class TestRunCorpus:
         report = next(r for r in reports if r.site == site)
         assert report.n_extractions == len(served)
 
+    def test_inline_run_frees_its_trees_by_refcount(self, corpus_on_disk):
+        """Each site attempt releases the pages it parsed, so with the
+        collector off an inline run leaves no DOM node alive, and no
+        collection runs (the per-site ``gc.collect()`` is gone)."""
+        from repro.dom.node import ElementNode, TextNode
+
+        def live_dom_nodes():
+            return sum(
+                1 for obj in gc.get_objects()
+                if isinstance(obj, (ElementNode, TextNode))
+            )
+
+        _, kb_path, corpus_dir, _, site_names = corpus_on_disk
+        collected = []
+
+        def watch(phase, info):
+            if phase == "stop":
+                collected.append(info["collected"])
+
+        gc.collect()
+        before = live_dom_nodes()
+        gc.callbacks.append(watch)
+        gc.disable()
+        try:
+            reports = run_corpus(
+                corpus_dir, kb_path, None, max_workers=1, output=io.StringIO()
+            )
+            after = live_dom_nodes()
+        finally:
+            gc.enable()
+            gc.callbacks.remove(watch)
+        assert [report.site for report in reports] == site_names
+        assert all(report.ok and report.n_pages for report in reports)
+        assert after == before
+        assert collected == []
+
 
 def _rows_by_site(corpus_dir, kb_path, **kwargs) -> dict[str, list[str]]:
     """One inline run's output rows, grouped by site."""

@@ -7,6 +7,7 @@ machinery is the thing under test, so nothing is mocked below the
 :class:`ExtractionService` boundary.
 """
 
+import gc
 import http.client
 import json
 import socket
@@ -19,6 +20,8 @@ from repro import obs
 from repro.core.config import CeresConfig
 from repro.core.pipeline import CeresPipeline
 from repro.datasets import generate_swde, seed_kb_for
+from repro.dom.node import ElementNode, TextNode
+from repro.dom.parser import parse_html
 from repro.runtime import ExtractionService, SiteModel
 from repro.runtime.resilience import Deadline
 from repro.serving import (
@@ -35,6 +38,7 @@ from repro.serving import (
     ServingConfig,
     ServingServer,
 )
+from repro.serving import server as server_module
 from repro.testing.faults import FaultPlan, FaultSpec, active
 from repro.transfer import collect_site_examples, train_global
 
@@ -526,6 +530,36 @@ class TestHttpServing:
         assert status == 422
         assert data["category"] == "permanent"
 
+    def test_malformed_marked_section_422_then_next_request(
+        self, serving, trained_world
+    ):
+        """An unreadable ``<![`` section is the client's error: 422
+        (it used to escape the parser as ``AssertionError``, a 500), and
+        the keep-alive connection goes on to serve the next request."""
+        conn = http.client.HTTPConnection("127.0.0.1", serving.port, timeout=30)
+        try:
+            bad = {
+                "site": trained_world["site"],
+                "pages": [
+                    {"html": trained_world["html"][0]},
+                    {"html": "<p><![foo]>x</p>"},
+                ],
+            }
+            conn.request("POST", "/extract", body=json.dumps(bad))
+            response = conn.getresponse()
+            data = json.loads(response.read())
+            assert response.status == 422
+            assert data["category"] == "permanent"
+            assert data["error"].startswith("pages[1]: unknown status keyword")
+            conn.request("POST", "/extract", body=json.dumps(_request(trained_world)))
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            conn.close()
+        counters = serving.stats_payload()["metrics"]["counters"]
+        assert counters["serving.parse_rejected"] == 1
+
     def test_unknown_site_is_permanent_500(self, serving):
         status, data, _ = _post(
             serving.port,
@@ -710,6 +744,96 @@ class TestHttpServing:
         assert batched["max"] >= 2  # at least one merged batch
         counters = serving.stats_payload()["metrics"]["counters"]
         assert counters["serving.batches"] < 4
+
+
+def _live_dom_nodes() -> int:
+    return sum(
+        1 for obj in gc.get_objects() if isinstance(obj, (ElementNode, TextNode))
+    )
+
+
+def _tree_size(html: str) -> int:
+    document = parse_html(html)
+    size = sum(
+        1 + sum(child.is_text for child in element.children)
+        for element in document.iter_elements()
+    )
+    document.release()
+    return size
+
+
+class TestDocumentOwnership:
+    """The handler releases its request's documents once no worker can
+    read them, so the trees free by refcount, not by the collector."""
+
+    def test_sequential_requests_leave_one_requests_worth_of_nodes(
+        self, serving, trained_world
+    ):
+        payload = _request(trained_world, n_pages=2)
+        body = json.dumps(payload)
+        conn = http.client.HTTPConnection("127.0.0.1", serving.port, timeout=30)
+
+        def post():
+            conn.request("POST", "/extract", body=body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+
+        gc.collect()
+        gc.disable()
+        try:
+            post()  # warm-up: builds the site's extractors
+            after_one = _live_dom_nodes()
+            for _ in range(20):
+                post()
+            after_twenty_one = _live_dom_nodes()
+        finally:
+            gc.enable()
+            conn.close()
+        one_request = sum(_tree_size(page["html"]) for page in payload["pages"])
+        assert after_twenty_one - after_one <= one_request
+
+    @pytest.mark.parametrize(
+        "serving", [dict(workers=1, request_deadline=0.3)], indirect=True
+    )
+    def test_forsaken_request_leaves_its_documents_to_the_late_worker(
+        self, serving, trained_world, monkeypatch
+    ):
+        """A 504 whose ``forsake()`` wins keeps its documents: the wedged
+        worker still scores them once the hang ends, finishes without
+        error, and the breaker records no failure.  An answered
+        request's documents are released."""
+        parsed = []
+
+        def recording_parse(*args, **kwargs):
+            document = parse_html(*args, **kwargs)
+            parsed.append(document)
+            return document
+
+        monkeypatch.setattr(server_module, "parse_html", recording_parse)
+        site = trained_world["site"]
+        plan = FaultPlan(
+            [FaultSpec("serving.batch", site=site, action="hang", delay=1.0, times=1)]
+        )
+        with active(plan):
+            status, _, _ = _post(serving.port, _request(trained_world, n_pages=2))
+            assert status == 504
+            forsaken = list(parsed)
+            assert serving.queue.wait_idle(10.0)  # the late worker is done
+        assert len(forsaken) == 2
+        assert all(document.root is not None for document in forsaken)
+        counters = serving.stats_payload()["metrics"]["counters"]
+        assert counters["serving.deadline_expired"] == 1
+        assert counters["serving.primary_requests"] == 1
+        assert not [name for name in counters if name.startswith("serving.errors_")]
+        breaker = serving.breakers.for_site(site).snapshot()
+        assert (breaker["phase"], breaker["consecutive_failures"]) == (CLOSED, 0)
+
+        status, _, _ = _post(serving.port, _request(trained_world, n_pages=2))
+        assert status == 200
+        answered = parsed[len(forsaken):]
+        assert len(answered) == 2
+        assert all(document.root is None for document in answered)
 
 
 class TestDrain:
