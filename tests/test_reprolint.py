@@ -93,21 +93,6 @@ RULE_FIXTURES = [
         "with obs.metrics().timer('bench.seconds'):\n    pass\n",
     ),
     (
-        "gc-policy",
-        "repro/serving/server.py",
-        "import gc\ngc.freeze()\n",
-        1,
-        "import gc\nstats = {'frozen': gc.get_freeze_count(), "
-        "'generations': gc.get_stats()}\n",
-    ),
-    (
-        "gc-policy",
-        "repro/dom/parser.py",
-        "from gc import collect as sweep\nsweep()\n",
-        2,  # the import and the aliased call
-        "for document in documents:\n    document.release()\n",
-    ),
-    (
         "rounded-confidence",
         "repro/runtime/runner.py",
         "row = {'confidence': round(extraction.confidence, 4)}\n",
@@ -209,6 +194,21 @@ RULE_FIXTURES = [
         "except Exception:\n    raise\n"
         "try:\n    work()\n"
         "except ValueError:\n    pass\n",
+    ),
+    (
+        "gc-policy",
+        "repro/serving/server.py",
+        "import gc\ngc.freeze()\n",
+        1,
+        "import gc\nstats = {'frozen': gc.get_freeze_count(), "
+        "'generations': gc.get_stats()}\n",
+    ),
+    (
+        "gc-policy",
+        "repro/dom/parser.py",
+        "from gc import collect as sweep\nsweep()\n",
+        2,  # the import and the aliased call
+        "for document in documents:\n    document.release()\n",
     ),
 ]
 
