@@ -1,12 +1,13 @@
-"""Scoring hot path: batched, vocabulary-compiled engine vs. legacy per-node.
+"""Scoring hot path: batched scoring vs. legacy per-node.
 
 PR 1/PR 2 removed the architectural waste from warm serving (per-page
 extractor rebuilds, unbounded caches); the remaining cost was the scoring
 chain itself — per-node f-string feature dicts, per-name vocabulary
-hashing, and one small matmul per page.  The batched engine
-(``repro.core.extraction.scoring``) compiles the vocabulary into direct
-tuple→column lookups, memoizes structural work per element, and scores a
-whole batch with one CSR matrix and one matmul per cluster model.
+hashing, and one small matmul per page.  Batched scoring
+(``CeresModel.score_pages``) interns each template position's feature
+row once (``FeatureNameBatcher``), resolves each row against the
+vocabulary once per model, and scores a whole batch with one CSR matrix
+and one matmul per cluster model.
 
 This benchmark serves the same 200-page site warm through both paths and
 checks:
@@ -148,7 +149,7 @@ def run_benchmark(
 def format_table(stats: dict) -> str:
     return "\n".join(
         [
-            "Scoring hot path: batched compiled engine vs legacy per-node",
+            "Scoring hot path: batched engine vs legacy per-node",
             f"  pages per batch        {stats['n_pages']}",
             f"  batches                {stats['n_batches']}",
             f"  legacy warm            {stats['legacy_pps']:10.1f} pages/s",

@@ -6,15 +6,14 @@ from repro.core.extraction.extractor import (
     Extraction,
     PageCandidates,
 )
-from repro.core.extraction.features import NodeFeatureExtractor
-from repro.core.extraction.scoring import BatchScorer
+from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtractor
 from repro.core.extraction.trainer import CeresModel, CeresTrainer
 
 __all__ = [
-    "BatchScorer",
     "CeresExtractor",
     "ClusterExtractorPool",
     "Extraction",
+    "FeatureNameBatcher",
     "PageCandidates",
     "NodeFeatureExtractor",
     "CeresModel",

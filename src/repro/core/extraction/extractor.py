@@ -74,12 +74,12 @@ class PageCandidates:
 class CeresExtractor:
     """Applies a :class:`CeresModel` to pages.
 
-    Scoring goes through the model's batched, vocabulary-compiled engine
-    (:mod:`repro.core.extraction.scoring`): every call — single page or
-    batch — builds one CSR matrix over all scored nodes and does one
-    matmul.  :meth:`legacy_candidates_for_page` keeps the original
-    per-node chain as the equivalence oracle (tests and the hot-path
-    benchmark diff the two).
+    Scoring goes through
+    :meth:`~repro.core.extraction.trainer.CeresModel.score_pages`: every
+    call — single page or batch — builds one CSR matrix over all scored
+    nodes and does one matmul.  :meth:`legacy_candidates_for_page` keeps
+    the original per-node chain as the equivalence oracle (tests and the
+    hot-path benchmark diff the two).
     """
 
     def __init__(self, model: CeresModel, config: CeresConfig | None = None) -> None:

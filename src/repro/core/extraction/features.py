@@ -22,6 +22,10 @@ URLs, and the string lexicon are one site's private vocabulary).  The
 cross-site global model (:mod:`repro.transfer`) trains on the ``xfer:``
 namespace only; per-site models consume both.
 
+:class:`NodeFeatureExtractor` builds one node's feature dict, the
+reference; :class:`FeatureNameBatcher` is the walker training and
+scoring run, which builds the same names once per template position.
+
 Feature extraction is the hot loop of both training and extraction, so the
 nearby-string search uses a per-page registry: each frequent-string node
 registers itself on its first ``text_feature_height`` ancestors with the
@@ -47,10 +51,15 @@ __all__ = ["NodeFeatureExtractor", "FeatureNameBatcher"]
 
 FeatureDict = dict[str, float]
 
-#: Safety valve for the cross-page caches of :class:`FeatureNameBatcher`;
-#: template clusters converge to a handful of entries, pathological sites
-#: just recompute.
+#: Bound on each intern table of :class:`FeatureNameBatcher`; template
+#: clusters converge to a handful of entries per position, pathological
+#: sites reset the tables and recompute.
 _BATCHER_CACHE_LIMIT = 4096
+
+#: Scratch-record slots (``ElementNode._scoring``): the pass token, the
+#: element's fingerprint id, its window signature id, its row id (as
+#: the parent of text nodes), then one chain id per ancestry level.
+_FINGERPRINT, _SIGNATURE, _ROW, _CHAINS = 1, 2, 3, 4
 
 
 class NodeFeatureExtractor:
@@ -105,9 +114,9 @@ class NodeFeatureExtractor:
         Each frequent-string occurrence registers itself on its enclosing
         element and ``text_feature_height`` further ancestors; the downward
         path records the tag chain from the ancestor to the string.  The
-        per-node path and :class:`FeatureNameBatcher` read this registry
-        (the compiled scorer builds its own equivalent).  The last page's
-        registry is kept, so one page's nodes build it once.
+        per-node path and :class:`FeatureNameBatcher` read this registry.
+        The last page's registry is kept, so one page's nodes build it
+        once.
         """
         doc_id, registry = self._last_registry
         if doc_id == document.doc_id:
@@ -196,34 +205,41 @@ class NodeFeatureExtractor:
 
 
 class FeatureNameBatcher:
-    """Batched feature-*name* rows for training (the cold-path analogue of
-    :class:`repro.core.extraction.scoring.BatchScorer`).
+    """The feature-row walker of both training and scoring.
 
-    Training cannot use the compiled scorer — the vocabulary it compiles
-    does not exist until the vectorizer has been fitted — but it can
-    avoid rebuilding feature names node by node.  A node's feature dict
-    depends only on its *parent element*: structural features read the
-    parent's ancestor chain and sibling windows, text features read the
-    same chain against the page registry.  Template pages repeat those
-    chains, so the batcher
+    A text node's features depend only on its *parent element*: the
+    structural names read the parent's ancestor chain and sibling
+    windows, the text names read the same chain against the page's
+    frequent-string registry.  Template pages repeat those chains, so
+    the walker interns every template position as a dense int keyed by
+    value:
 
-    * fingerprints each element once per page (tag + the structural
-      attribute values — exactly the inputs the name strings are built
-      from);
-    * caches each sibling window's rendered names per ancestry level
-      across pages, keyed by the window's fingerprint signature;
-    * caches whole ancestor chains by the identity of their (cached)
-      window and suffix tuples, and whole rows by the identity of their
-      struct and text parts — warm template pages resolve a node's entire
-      name row with a few dict probes and **zero** f-string formatting.
+    * element ``(tag, *attribute values)`` → fingerprint id;
+    * sibling window ``(self offset, *member fingerprint ids)`` →
+      signature id;
+    * ``(signature, level, suffix chain id)`` → chain id, with the
+      chain's rendered names;
+    * the parent's frequent-string registrations, as ``(ups, text,
+      down_path)`` entries → text id, with their rendered names;
+    * ``(chain id, text id)`` → row id; :attr:`rows` holds each row's
+      name tuple.
 
-    Rows are returned as tuples whose *name sets* equal the key sets of
-    ``NodeFeatureExtractor.features`` for the same node (struct names are
-    unique by construction; duplicate text registrations may repeat and
-    are deduplicated by the vectorizer exactly as ``dict`` keys were).
-    Identical template rows are returned as the *same object*, which lets
-    :meth:`repro.ml.features.FeatureVectorizer.transform_name_rows` sort
-    each distinct row once.
+    Names are rendered once per chain or text id, so warm template
+    pages resolve a node's row with a few dict probes and no string
+    formatting.  Per-pass ids live in each element's scratch record
+    (``ElementNode._scoring``), validated by a token that changes with
+    every page and every reset.
+
+    Row name *sets* equal the key sets of
+    :meth:`NodeFeatureExtractor.features` for the same node (struct
+    names are unique by construction; duplicate text registrations may
+    repeat and are deduplicated by the vectorizer exactly as ``dict``
+    keys were).  Template twins share one row tuple, which lets
+    :meth:`repro.ml.features.FeatureVectorizer.transform_name_rows`
+    sort each distinct row once, and lets the scorer
+    (:meth:`repro.core.extraction.trainer.CeresModel.score_pages`)
+    resolve each row id against the vocabulary once, into
+    :attr:`row_columns`.
     """
 
     def __init__(self, extractor: NodeFeatureExtractor) -> None:
@@ -233,100 +249,100 @@ class FeatureNameBatcher:
         self._width = config.struct_sibling_width
         self._attributes = config.struct_attributes
         self._height = config.text_feature_height
-        # -- cross-page caches (template-convergent) ----------------------
-        #: (tag, attr values...) -> interned fingerprint id; the parallel
-        #: list is the inverse (ids are assigned densely).
+        self._no_chains = (None,) * (self._levels + 1)
+        self._page: int | None = None
+        self._registry: dict[int, list[tuple[str, str]]] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        """Drop every intern table, the pass token and the row columns
+        together: ids are reassigned from 0, so nothing that holds an
+        old id may outlive them."""
+        self._token = object()
         self._fingerprints: dict[tuple, int] = {}
         self._fingerprint_keys: list[tuple] = []
-        #: window signature (self offset, member fps...) -> interned id,
-        #: with the parallel inverse list for rendering.
-        self._window_sigs: dict[tuple, int] = {}
-        self._window_sig_keys: list[tuple] = []
-        #: (window sig id, level) -> rendered window names tuple.
-        self._window_names: dict[tuple[int, int], tuple[str, ...]] = {}
-        #: (id(window names), id(suffix names)) -> combined chain tuple;
-        #: values pin the keyed tuples so their ids stay valid.
-        self._chain_cache: dict[tuple[int, int], tuple] = {}
-        #: text-name tuple (by value) -> the shared interned tuple.
-        self._text_intern: dict[tuple[str, ...], tuple[str, ...]] = {}
-        #: (id(struct row), id(text row)) -> (full row, struct, text);
-        #: the value pins the keyed tuples so their ids stay valid even
-        #: after a guard clear drops the upstream caches that held them.
-        self._row_cache: dict[tuple[int, int], tuple] = {}
-        # -- per-page scratch ---------------------------------------------
-        self._page_key: int | None = None
-        self._page_fps: dict[int, int] = {}
-        self._page_sigs: dict[int, int] = {}
-        self._page_chains: dict[int, list] = {}
-        self._page_rows: dict[int, tuple[str, ...]] = {}
-        self._registry: dict[int, list[tuple[str, str]]] = {}
+        self._signatures: dict[tuple, int] = {}
+        self._signature_keys: list[tuple] = []
+        self._chains: dict[tuple[int, int, int], int] = {}
+        self._chain_names: list[tuple[str, ...]] = []
+        self._texts: dict[tuple, int] = {}
+        self._text_names: list[tuple[str, ...]] = []
+        self._row_ids: dict[tuple[int, int], int] = {}
+        #: Row id → the row's feature names.
+        self.rows: list[tuple[str, ...]] = []
+        #: Row id → the scorer's column array for the row (None until
+        #: the scorer resolves it).
+        self.row_columns: list = []
 
     # -- public API --------------------------------------------------------
 
     def row_for(self, node: TextNode, document: Document) -> tuple[str, ...]:
         """The feature-name row of ``node`` (shared tuple for template twins)."""
-        if self._page_key != document.doc_id:
-            self._page_key = document.doc_id
-            self._page_fps = {}
-            self._page_sigs = {}
-            self._page_chains = {}
-            self._page_rows = {}
+        row = self.row_id(node, document)  # may reset, rebinding self.rows
+        return self.rows[row]
+
+    def row_id(self, node: TextNode, document: Document) -> int:
+        """The interned row id of ``node``.
+
+        Valid until the next call: the size bound is checked here,
+        between rows, and a reset reassigns every id.
+        """
+        if self._page != document.doc_id:
+            self._page = document.doc_id
+            self._token = object()
             self._registry = (
                 self.extractor.registry_for(document)
                 if self.extractor.frequent_strings
                 else {}
             )
         parent = node.parent
+        if parent is not None:
+            record = parent._scoring
+            if record is not None and record[0] is self._token:
+                row = record[_ROW]
+                if row is not None:
+                    return row
+        if (
+            len(self.rows) >= _BATCHER_CACHE_LIMIT
+            or len(self._chain_names) >= _BATCHER_CACHE_LIMIT
+            or len(self._signature_keys) >= _BATCHER_CACHE_LIMIT
+            or len(self._fingerprint_keys) >= _BATCHER_CACHE_LIMIT
+            or len(self._text_names) >= _BATCHER_CACHE_LIMIT
+        ):
+            self._reset()
         if parent is None:
-            return ()
-        cached = self._page_rows.get(id(parent))
-        if cached is not None:
-            return cached
-        struct = self._chain_names(parent, 0)
-        text = self._text_names(parent)
-        if text:
-            row_key = (id(struct), id(text))
-            entry = self._row_cache.get(row_key)
-            if entry is None:
-                self._cache_guard()
-                # struct/text ride along in the value to pin the key ids.
-                row = struct + text
-                self._row_cache[row_key] = (row, struct, text)
-            else:
-                row = entry[0]
-        else:
-            row = struct
-        self._page_rows[id(parent)] = row
+            return self._row(-1, -1)
+        record = self._record(parent)
+        chain = self._chain(parent, record, 0)
+        row = self._row(chain, self._text(parent) if self._registry else -1)
+        record[_ROW] = row
         return row
 
     # -- structural names --------------------------------------------------
 
-    def _fingerprint(self, element: ElementNode) -> int:
-        found = self._page_fps.get(id(element))
-        if found is not None:
-            return found
-        attrs = element.attrs
-        key = (element.tag, *(attrs.get(a) or None for a in self._attributes))
-        fp = self._fingerprints.get(key)
-        if fp is None:
-            fp = len(self._fingerprints)
-            self._fingerprints[key] = fp
-            self._fingerprint_keys.append(key)
-        self._page_fps[id(element)] = fp
-        return fp
+    def _record(self, element: ElementNode) -> list:
+        """The element's scratch record for this pass; a fresh record
+        carries the element's fingerprint id."""
+        record = element._scoring
+        if record is None or record[0] is not self._token:
+            key = (element.tag, *map(element.attrs.get, self._attributes))
+            fingerprint = self._fingerprints.get(key)
+            if fingerprint is None:
+                fingerprint = len(self._fingerprint_keys)
+                self._fingerprints[key] = fingerprint
+                self._fingerprint_keys.append(key)
+            record = [self._token, fingerprint, None, None, *self._no_chains]
+            element._scoring = record
+        return record
 
-    def _window_sig(self, element: ElementNode) -> int:
+    def _signature(self, element: ElementNode, record: list) -> int:
         """Interned signature of the element's sibling window.
 
-        Mirrors the legacy scan exactly: no parent or a stale
+        Mirrors the reference scan: no parent or a stale
         ``element_index`` (hand-assembled trees) collapses the window to
-        the element alone.  Memoized per element per page — chains from
-        different starting depths revisit the same ancestors at different
-        levels, and the window itself is level-independent.
+        the element alone.  The window is level-independent, so it is
+        resolved once per element per pass.
         """
-        cached = self._page_sigs.get(id(element))
-        if cached is not None:
-            return cached
         parent = element.parent
         position = element.element_index
         if parent is not None:
@@ -337,120 +353,103 @@ class FeatureNameBatcher:
         else:
             siblings = (element,)
             position = 0
-        width = self._width
-        low = position - width
+        low = position - self._width
         if low < 0:
             low = 0
-        high = position + width + 1
+        high = position + self._width + 1
         if high > len(siblings):
             high = len(siblings)
-        fingerprint = self._fingerprint
+        record_for = self._record
         key = (
             position - low,
-            *(fingerprint(siblings[i]) for i in range(low, high)),
+            *[record_for(siblings[i])[_FINGERPRINT] for i in range(low, high)],
         )
-        sig = self._window_sigs.get(key)
-        if sig is None:
-            sig = len(self._window_sigs)
-            self._window_sigs[key] = sig
-            # Remember the key for rendering (sig -> key via parallel list).
-            self._window_sig_keys.append(key)
-        self._page_sigs[id(element)] = sig
-        return sig
+        signature = self._signatures.get(key)
+        if signature is None:
+            signature = len(self._signature_keys)
+            self._signatures[key] = signature
+            self._signature_keys.append(key)
+        record[_SIGNATURE] = signature
+        return signature
 
-    def _render_window(self, sig: int, level: int) -> tuple[str, ...]:
-        """Names of one window at one ancestry level (cached cross-page)."""
-        cached = self._window_names.get((sig, level))
-        if cached is not None:
-            return cached
-        key = self._window_sig_keys[sig]
+    def _chain(self, element: ElementNode, record: list, level: int) -> int:
+        """Interned id of the ancestor chain from ``element`` at ``level``."""
+        chain = record[_CHAINS + level]
+        if chain is not None:
+            return chain
+        signature = record[_SIGNATURE]
+        if signature is None:
+            signature = self._signature(element, record)
+        parent = element.parent
+        if level < self._levels and parent is not None:
+            suffix = self._chain(parent, self._record(parent), level + 1)
+        else:
+            suffix = -1
+        key = (signature, level, suffix)
+        chain = self._chains.get(key)
+        if chain is None:
+            names = self._window_names(signature, level)
+            if suffix >= 0:
+                names += self._chain_names[suffix]
+            chain = len(self._chain_names)
+            self._chains[key] = chain
+            self._chain_names.append(names)
+        record[_CHAINS + level] = chain
+        return chain
+
+    def _window_names(self, signature: int, level: int) -> tuple[str, ...]:
+        """Names of one sibling window at one ancestry level."""
+        key = self._signature_keys[signature]
         self_offset = key[0]
         names: list[str] = []
-        fingerprint_keys = self._fingerprint_keys
-        for index, fp in enumerate(key[1:]):
+        for index, fingerprint in enumerate(key[1:]):
             offset = index - self_offset
-            tag, *values = fingerprint_keys[fp]
+            tag, *values = self._fingerprint_keys[fingerprint]
             names.append(f"xfer:s|tag|{tag}|{level}|{offset}")
             for attribute, value in zip(self._attributes, values):
                 if value:
                     names.append(f"site:s|{attribute}|{value}|{level}|{offset}")
-        result = tuple(names)
-        self._cache_guard()
-        self._window_names[(sig, level)] = result
-        return result
+        return tuple(names)
 
-    def _chain_names(self, element: ElementNode, level: int) -> tuple[str, ...]:
-        """Rendered names of the ancestor chain from ``element`` at ``level``."""
-        slots = self._page_chains.get(id(element))
-        if slots is None:
-            slots = [None] * (self._levels + 1)
-            self._page_chains[id(element)] = slots
-        cached = slots[level]
-        if cached is not None:
-            return cached
-        window = self._render_window(self._window_sig(element), level)
-        parent = element.parent
-        if level < self._levels and parent is not None:
-            suffix = self._chain_names(parent, level + 1)
-            chain_key = (id(window), id(suffix))
-            chain = self._chain_cache.get(chain_key)
-            if chain is None:
-                self._cache_guard()
-                # The value tuple holds window/suffix refs via concatenation
-                # sources; pin them explicitly to keep the key ids valid.
-                chain = window + suffix
-                self._chain_cache[chain_key] = (chain, window, suffix)
-            else:
-                chain = chain[0]
-        else:
-            chain = window
-        slots[level] = chain
-        return chain
+    # -- text names and rows -----------------------------------------------
 
-    # -- text names --------------------------------------------------------
-
-    def _text_names(self, parent: ElementNode) -> tuple[str, ...]:
-        """Nearby-frequent-string names (interned tuple, shared by value)."""
+    def _text(self, parent: ElementNode) -> int:
+        """Interned id of the frequent strings registered on ``parent``
+        and its ancestors up to ``text_feature_height`` (-1: none)."""
         registry = self._registry
-        if not registry:
-            return ()
-        names: list[str] = []
+        entries: list[tuple[int, str, str]] = []
         element: ElementNode | None = parent
         ups = 0
-        height = self._height
-        while element is not None and ups <= height:
+        while element is not None and ups <= self._height:
             for text, down_path in registry.get(id(element), ()):
-                names.append(f"site:t|{text}|u{ups}|{down_path}")
+                entries.append((ups, text, down_path))
             element = element.parent
             ups += 1
-        if not names:
-            return ()
-        key = tuple(names)
-        interned = self._text_intern.get(key)
-        if interned is None:
-            self._cache_guard()
-            self._text_intern[key] = key
-            interned = key
-        return interned
+        if not entries:
+            return -1
+        key = tuple(entries)
+        text_id = self._texts.get(key)
+        if text_id is None:
+            text_id = len(self._text_names)
+            self._texts[key] = text_id
+            self._text_names.append(
+                tuple(
+                    f"site:t|{text}|u{ups}|{down_path}"
+                    for ups, text, down_path in entries
+                )
+            )
+        return text_id
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def _cache_guard(self) -> None:
-        """Bound the cross-page caches (pathological sites only).
-
-        Cleared together: chain and row keys embed ids of tuples kept
-        alive by the upstream caches, so a partial clear could let a
-        recycled id alias a stale entry.
-        """
-        if (
-            len(self._window_names) >= _BATCHER_CACHE_LIMIT
-            or len(self._chain_cache) >= _BATCHER_CACHE_LIMIT
-            or len(self._text_intern) >= _BATCHER_CACHE_LIMIT
-            or len(self._row_cache) >= _BATCHER_CACHE_LIMIT
-        ):
-            self._window_names.clear()
-            self._chain_cache.clear()
-            self._text_intern.clear()
-            self._row_cache.clear()
-            self._page_chains.clear()
-            self._page_rows.clear()
+    def _row(self, chain: int, text: int) -> int:
+        """Interned row id of a chain and text pair (-1: no chain/text)."""
+        key = (chain, text)
+        row = self._row_ids.get(key)
+        if row is None:
+            names = self._chain_names[chain] if chain >= 0 else ()
+            if text >= 0:
+                names += self._text_names[text]
+            row = len(self.rows)
+            self._row_ids[key] = row
+            self.rows.append(names)
+            self.row_columns.append(None)
+        return row

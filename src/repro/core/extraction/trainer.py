@@ -5,28 +5,37 @@ extractor (with the site's frequent-string lexicon), the feature
 vectorizer, and the multinomial logistic-regression classifier over
 ``{predicates} ∪ {name} ∪ {OTHER}``.
 
-Serving scores through the model's :class:`~repro.core.extraction.scoring.BatchScorer`
-(compiled at train/load time); :meth:`CeresModel.predict_proba_for_nodes`
-keeps the original per-node chain as the equivalence oracle.
+Training and scoring walk the DOM through one
+:class:`~repro.core.extraction.features.FeatureNameBatcher`: training
+vectorizes its name rows, and :meth:`CeresModel.score_pages` resolves
+its row ids against the fitted vocabulary.
+:meth:`CeresModel.predict_proba_for_nodes` keeps the original per-node
+chain as the equivalence oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
+from repro import obs
 from repro.core.annotation.examples import TrainingExample
 from repro.core.config import CeresConfig
 from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtractor
-from repro.core.extraction.scoring import BatchScorer, PageScores
 from repro.dom.node import TextNode
 from repro.dom.parser import Document
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression
 
-__all__ = ["CeresModel", "CeresTrainer"]
+__all__ = ["CeresModel", "CeresTrainer", "PageScores"]
+
+#: Per-page scoring result: the scored text nodes and their class
+#: probabilities (rows aligned with the node list).
+PageScores = tuple[list[TextNode], np.ndarray]
 
 
 @dataclass
@@ -38,28 +47,13 @@ class CeresModel:
     classifier: SoftmaxRegression
 
     def __post_init__(self) -> None:
-        self._scorer: BatchScorer | None = None
+        # The model's own walker: its row ids, and the column array the
+        # scorer resolves for each, persist across score_pages calls.
+        self._batcher = FeatureNameBatcher(self.feature_extractor)
 
     @property
     def labels(self) -> list[str]:
         return list(self.classifier.classes_)
-
-    @property
-    def scorer(self) -> BatchScorer:
-        """The batched, vocabulary-compiled scoring engine (lazy)."""
-        if self._scorer is None:
-            self._scorer = BatchScorer(self)
-        return self._scorer
-
-    def compile(self) -> CeresModel:
-        """Eagerly build the batched scorer.
-
-        Called at train time (:class:`CeresTrainer`) and artifact-load
-        time (:func:`repro.runtime.serialize.model_from_dict`) so serving
-        never pays compilation inside a request.
-        """
-        _ = self.scorer
-        return self
 
     def predict_proba_for_nodes(
         self, nodes: list[TextNode], document: Document
@@ -67,25 +61,78 @@ class CeresModel:
         """Class probabilities for each node, rows aligned with ``nodes``.
 
         This is the legacy per-node chain (feature dicts → vectorizer →
-        classifier), retained as the equivalence oracle for the batched
-        engine; hot paths use :meth:`score_pages` instead.
+        classifier), retained as the equivalence oracle for
+        :meth:`score_pages`.
         """
         samples = [self.feature_extractor.features(node, document) for node in nodes]
         X = self.vectorizer.transform(samples)
         return self.classifier.predict_proba(X)
 
     def score_pages(self, documents: Sequence[Document]) -> list[PageScores]:
-        """Batched ``(nodes, probabilities)`` per page — one CSR matrix
-        over every node of every page and a single matmul."""
-        return self.scorer.score_pages(documents)
+        """Score every text field of every page with one matrix multiply.
 
-    def predict_proba_for_pages(
-        self, documents: Sequence[Document]
-    ) -> list[np.ndarray]:
-        """Batched class probabilities per page, aligned with each page's
-        non-empty text fields (the rows :meth:`predict_proba_for_nodes`
-        would produce page by page)."""
-        return [probabilities for _, probabilities in self.score_pages(documents)]
+        Returns one ``(nodes, probabilities)`` pair per document, in
+        order; pages without text fields get an empty node list and a
+        ``(0, n_classes)`` probability block.  Each row id is resolved
+        against the vocabulary once per model: its sorted, duplicate-free
+        columns — the canonical layout :meth:`FeatureVectorizer.transform`
+        emits — so the probabilities equal :meth:`predict_proba_for_nodes`
+        bit for bit.
+        """
+        # Resolved per call, so a model built before obs.enable() still
+        # reports; when off, every record below is a no-op.
+        registry = obs.metrics()
+        batcher = self._batcher
+        vocabulary = self.vectorizer.vocabulary_
+        # C-backed growable buffers: row column indices and per-row
+        # lengths; turned into the CSR arrays with zero-copy views.
+        indices = array("i")
+        lengths = array("i")
+        page_nodes: list[list[TextNode]] = []
+        with registry.timer("scoring.csr_build_seconds"):
+            for document in documents:
+                # text_fields() already excludes whitespace-only nodes.
+                nodes = document.text_fields()
+                page_nodes.append(nodes)
+                for node in nodes:
+                    # A row id is valid until the next row_id call.
+                    row = batcher.row_id(node, document)
+                    columns = batcher.row_columns[row]
+                    if columns is None:
+                        found = {
+                            column
+                            for name in batcher.rows[row]
+                            if (column := vocabulary.get(name)) is not None
+                        }
+                        columns = array("i", sorted(found))
+                        batcher.row_columns[row] = columns
+                    indices.extend(columns)
+                    lengths.append(len(columns))
+            indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+            column_indices = np.empty(0, dtype=np.int32)
+            if indices:
+                np.cumsum(np.frombuffer(lengths, dtype=np.int32), out=indptr[1:])
+                column_indices = np.frombuffer(indices, dtype=np.int32)
+            matrix = sp.csr_matrix(
+                (
+                    np.ones(len(column_indices), dtype=np.float64),
+                    column_indices,
+                    indptr,
+                ),
+                shape=(len(lengths), len(vocabulary)),
+            )
+            matrix.has_sorted_indices = True
+        with registry.timer("scoring.predict_seconds"):
+            probabilities = self.classifier.predict_proba(matrix)
+        registry.inc("scoring.batches")
+        registry.inc("scoring.pages", len(documents))
+        registry.inc("scoring.nodes", len(lengths))
+        results: list[PageScores] = []
+        offset = 0
+        for nodes in page_nodes:
+            results.append((nodes, probabilities[offset : offset + len(nodes)]))
+            offset += len(nodes)
+        return results
 
 
 class CeresTrainer:
@@ -105,7 +152,7 @@ class CeresTrainer:
 
         This is the vectorized path: feature-name rows come batched from a
         :class:`~repro.core.extraction.features.FeatureNameBatcher`
-        (template-convergent caches, shared row objects), land in the CSR
+        (interned template positions, shared row objects), land in the CSR
         matrix through the vectorizer's preallocated name-row path, and
         the classifier fits through the deduplicated fast objective.  The
         resulting model — vocabulary, matrix, and coefficients — is
@@ -127,7 +174,7 @@ class CeresTrainer:
             C=self.config.classifier_C, max_iter=self.config.classifier_max_iter
         )
         classifier.fit(X, labels)
-        return CeresModel(extractor, vectorizer, classifier).compile()
+        return CeresModel(extractor, vectorizer, classifier)
 
     def legacy_train(
         self,
@@ -154,4 +201,4 @@ class CeresTrainer:
             C=self.config.classifier_C, max_iter=self.config.classifier_max_iter
         )
         classifier.fit(X, labels, engine="reference")
-        return CeresModel(extractor, vectorizer, classifier).compile()
+        return CeresModel(extractor, vectorizer, classifier)

@@ -74,10 +74,11 @@ class ElementNode:
         self._element_children: list[ElementNode] = []
         self._xpath: str | None = None
         self._depth: int | None = None
-        #: Scratch record for the batched scorer
-        #: (:mod:`repro.core.extraction.scoring`): a token-validated list
-        #: of per-scoring-pass caches.  Opaque to everything else; one
-        #: scoring pass per document at a time.
+        #: Scratch record for the feature-row walker
+        #: (:class:`repro.core.extraction.features.FeatureNameBatcher`):
+        #: a token-validated list of this element's interned ids for the
+        #: current pass.  Opaque to everything else; one pass per
+        #: document at a time.
         self._scoring: list | None = None
 
     def __repr__(self) -> str:

@@ -27,8 +27,8 @@ Format version 2 (the namespaced-feature schema):
   reconstructed from the ``site:t|…`` vocabulary names.  Strings that
   never produced a fitted feature are dropped by reconstruction, and
   dropping them cannot change any score — their feature names were
-  unknown to the vectorizer and the compiled scorer alike, so they were
-  filtered at transform/compile time anyway.
+  unknown to the vectorizer, so they were filtered at transform and
+  scoring time anyway.
 
 The codecs are deliberately dumb — no pickling, no code references —
 so artifacts are portable across processes, machines, and (with the
@@ -213,10 +213,10 @@ def _vocabulary_from_jsonable(data: dict | list) -> FeatureVectorizer:
 def _frequent_strings_from_vocabulary(names) -> set[str]:
     """Reconstruct the frequent-string lexicon from ``site:t|…`` names.
 
-    Inverse of the text-feature name format (same parse the compiled
-    scorer uses).  Only strings that produced at least one fitted feature
-    come back — a safe narrowing, because features of absent strings
-    would be dropped at transform/compile time regardless.
+    Inverse of the text-feature name format.  Only strings that produced
+    at least one fitted feature come back — a safe narrowing, because
+    features of absent strings would be dropped at transform and scoring
+    time regardless.
     """
     text_prefix = _SITE_PREFIX + "t|"
     strings: set[str] = set()
@@ -252,12 +252,9 @@ def model_from_dict(data: dict, config: CeresConfig) -> CeresModel:
     feature_extractor.frequent_strings = _frequent_strings_from_vocabulary(
         vectorizer.vocabulary_
     )
-    model = CeresModel(
+    return CeresModel(
         feature_extractor, vectorizer, _classifier_from_dict(data["classifier"])
     )
-    # Compile the batched scoring engine now, not inside the first serving
-    # request (mirrors CeresTrainer.train).
-    return model.compile()
 
 
 # -- site artifacts --------------------------------------------------------

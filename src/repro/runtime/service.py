@@ -4,19 +4,18 @@
 for read traffic.  Per site it loads the artifact once, builds one
 :class:`~repro.core.extraction.extractor.CeresExtractor` per modeled
 cluster (via the shared :class:`ClusterExtractorPool`) — so a warm
-``extract_pages()`` call groups the batch by cluster and runs the batched,
-vocabulary-compiled scoring engine once per cluster model (one CSR
-matrix over every node of every page, one matmul; see
-:mod:`repro.core.extraction.scoring`).  The cold pipeline re-runs
-clustering, topic identification, annotation, and L-BFGS training on
-every call.
+``extract_pages()`` call groups the batch by cluster and scores it once
+per cluster model (one CSR matrix over every node of every page, one
+matmul; see :meth:`repro.core.extraction.trainer.CeresModel.score_pages`).
+The cold pipeline re-runs clustering, topic identification, annotation,
+and L-BFGS training on every call.
 
 Memory is bounded on both axes of a long-lived server:
 
 * **per page** — page-scoped state is keyed by ``Document.doc_id`` and
-  bounded (the scorer's caches converge per template position; a
-  feature extractor keeps one page's rows at most), so nothing
-  accumulates across batches and a recycled object id can never
+  bounded (each model's interned feature rows converge per template
+  position; a feature extractor keeps one page's rows at most), so
+  nothing accumulates across batches and a recycled object id can never
   resurface another page's state;
 * **per site** — at most ``max_resident_sites`` site models (and their
   extractor pools) stay loaded; the least recently *served* site is
@@ -150,10 +149,6 @@ class ExtractionService:
             self._ever_resident.add(site)
         return resident
 
-    def site_model(self, site: str) -> SiteModel:
-        """The site's model, loading from the registry on first use."""
-        return self._resident(site).model
-
     def pool(self, site: str) -> ClusterExtractorPool:
         """The site's extractor pool (one extractor per cluster, cached)."""
         resident = self._resident(site)
@@ -246,8 +241,8 @@ class ExtractionService:
     ) -> list[Extraction]:
         """Batched, thresholded extraction using cached extractors only.
 
-        The whole document list is scored in cluster-grouped batches by
-        the compiled scoring engine — not page by page.  ``threshold``
+        The whole document list is scored in cluster-grouped batches,
+        one matrix per cluster model — not page by page.  ``threshold``
         defaults to the trained config's ``confidence_threshold``.  No
         annotation or training happens here, and no per-batch cleanup is
         needed: per-page state is bounded and keyed by ``doc_id``.

@@ -54,7 +54,8 @@ class ServingConfig:
     batch_max_pages: int = 64
     #: After claiming a batch, wait up to this long for more same-site
     #: requests to arrive before scoring (0 disables).  Trades a little
-    #: latency for fuller :class:`BatchScorer` batches.
+    #: latency for fuller batches: one CSR matrix and one matmul per
+    #: cluster model (``CeresModel.score_pages``).
     batch_linger: float = 0.0
 
     # --- per-site circuit breakers ---
@@ -73,7 +74,7 @@ class ServingConfig:
     #: before force-answering what remains with 503 and exiting anyway.
     drain_timeout: float = 30.0
 
-    # --- hostile-input parse caps (None → CeresConfig defaults) ---
+    # --- hostile-input parse caps (>= 1; None → CeresConfig defaults) ---
     max_parse_depth: int | None = None
     max_parse_nodes: int | None = None
 
@@ -107,3 +108,7 @@ class ServingConfig:
             raise ValueError("breaker_probes must be >= 1")
         if self.drain_timeout <= 0:
             raise ValueError("drain_timeout must be > 0 seconds")
+        for name in ("max_parse_depth", "max_parse_nodes"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 1:
+                raise ValueError(f"{name} must be >= 1")

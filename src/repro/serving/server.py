@@ -18,8 +18,8 @@ than around the happy path.
   site degrades to the zero-shot transfer model (rows tagged
   ``model="transfer"``) instead of 500ing every request.
 * **Cross-request micro-batching.**  Workers pull all queued requests
-  for one ``(site, threshold)`` at once, so the compiled scoring engine
-  sees full batches even from single-page clients.
+  for one ``(site, threshold)`` at once, so scoring sees full batches
+  even from single-page clients.
 * **Graceful drain.**  SIGTERM stops admission (503 for new work),
   flushes everything already accepted, then exits 0.  Every accepted
   request is answered exactly once, drain or no drain.

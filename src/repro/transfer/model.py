@@ -13,9 +13,11 @@ It deliberately satisfies the model interface
 (``labels`` + ``score_pages``), so candidate assembly — name-node
 identification, argmax-non-OTHER candidates, thresholding — is the
 per-site code path, not a fork of it.  Scoring runs through the dict
-vectorizer rather than a compiled :class:`BatchScorer`: the transfer
-feature families (depth, layout, predicate overlap, shape) are not
-window-invertible, and the fallback path is the cold path by design.
+vectorizer rather than the per-site model's interned feature rows
+(:class:`~repro.core.extraction.features.FeatureNameBatcher`): the
+transfer feature families (depth, layout, predicate overlap, shape) do
+not depend on the parent element alone, and the fallback path is the
+cold path by design.
 
 Extractions are tagged ``model="transfer"`` so downstream consumers
 (fusion, output rows, the serving tier's response label) can tell
@@ -35,7 +37,7 @@ from repro.core.extraction.extractor import (
     Extraction,
     PageCandidates,
 )
-from repro.core.extraction.scoring import PageScores
+from repro.core.extraction.trainer import PageScores
 from repro.dom.parser import Document
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression

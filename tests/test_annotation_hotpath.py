@@ -248,10 +248,9 @@ class TestBatchedFeatureRows:
                 assert set(row) == set(legacy), node.xpath
 
     def test_rows_survive_cache_guard_clears(self, monkeypatch):
-        """With a tiny cache limit the guard fires constantly; rows must
-        still match the oracle (regression: a guard clear used to drop
-        the pins for ids embedded in row-cache keys, letting recycled
-        tuple ids alias stale rows)."""
+        """With a tiny cache limit the walker resets its intern tables
+        between nearly every row; rows must still match the oracle (an
+        id kept across a reset would name another row's names)."""
         import repro.core.extraction.features as features_module
 
         monkeypatch.setattr(features_module, "_BATCHER_CACHE_LIMIT", 2)

@@ -805,9 +805,12 @@ class TestServeHttpCommand:
             ("--batch-linger", "1e12", "batch_linger must be in 0"),
             ("--retry-after", "-5", "retry_after must be in 0"),
             ("--max-body-bytes", "-1", "max_body_bytes must be >= 0"),
+            ("--max-parse-depth", "-5", "max_parse_depth must be >= 1"),
+            ("--max-parse-nodes", "0", "max_parse_nodes must be >= 1"),
         ],
         ids=["inf-deadline", "nan-retry-after", "huge-batch-linger",
-             "negative-retry-after", "negative-max-body-bytes"],
+             "negative-retry-after", "negative-max-body-bytes",
+             "negative-max-parse-depth", "zero-max-parse-nodes"],
     )
     def test_out_of_range_value_is_a_usage_error(
         self, tmp_path, monkeypatch, flag, value, message

@@ -1,10 +1,11 @@
-"""Equivalence tests: batched scoring engine vs. the legacy per-node path.
+"""Equivalence tests: batched scoring vs. the legacy per-node path.
 
-The batched, vocabulary-compiled engine (repro.core.extraction.scoring)
-must reproduce the legacy chain (feature dicts → vectorizer → per-page
-matmul) to full float precision: same subjects, same predicates, same
-confidences, across the SWDE and IMDb fixtures, including pages with
-zero text fields and single-class models.
+Batched scoring (CeresModel.score_pages over the interned rows of
+repro.core.extraction.features.FeatureNameBatcher) must reproduce the
+legacy chain (feature dicts → vectorizer → per-page matmul) to full
+float precision: same subjects, same predicates, same confidences,
+across the SWDE and IMDb fixtures, including pages with zero text
+fields, single-class models, and walker resets under cache pressure.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from repro.core.annotation.examples import TrainingExample
 from repro.core.config import CeresConfig
 from repro.core.extraction.extractor import CeresExtractor
-from repro.core.extraction.scoring import compile_vocabulary
 from repro.core.extraction.trainer import CeresTrainer
 from repro.core.pipeline import CeresPipeline
 from repro.datasets import generate_imdb, generate_swde, seed_kb_for
@@ -102,6 +102,32 @@ class TestSWDEEquivalence:
         batched, legacy = pool_vs_legacy(pool, documents)
         assert_pages_identical(batched, legacy)
 
+    def test_scores_survive_walker_resets(self, swde_pool_and_docs, monkeypatch):
+        """With a bound of 2 nearly every row resets the walker's intern
+        tables and the row columns resolved from them; scores across
+        the fixture, unseen templates and the fixture again must still
+        match the oracle."""
+        import repro.core.extraction.features as features_module
+
+        resets = []
+        reset = features_module.FeatureNameBatcher._reset
+
+        def counting_reset(batcher):
+            resets.append(batcher)
+            reset(batcher)
+
+        monkeypatch.setattr(features_module, "_BATCHER_CACHE_LIMIT", 2)
+        monkeypatch.setattr(
+            features_module.FeatureNameBatcher, "_reset", counting_reset
+        )
+        pool, documents = swde_pool_and_docs
+        other = generate_swde("movie", n_sites=2, pages_per_site=6, seed=9)
+        unseen = [page.document for page in other.sites[1].pages]
+        for batch in (documents, unseen, documents):
+            batched, legacy = pool_vs_legacy(pool, batch)
+            assert_pages_identical(batched, legacy)
+        assert len(resets) > len(documents)
+
 
 class TestIMDbEquivalence:
     def test_film_pages_identical(self):
@@ -158,16 +184,16 @@ class TestDirectModelEquivalence:
             )
             examples.append(TrainingExample(i, fields[-1], OTHER_LABEL))
         model = CeresTrainer(CeresConfig()).train(examples, docs)
-        batched = model.predict_proba_for_pages(docs)
-        for doc, fast in zip(docs, batched):
+        batched = model.score_pages(docs)
+        for doc, (_, fast) in zip(docs, batched):
             nodes = [n for n in doc.text_fields() if n.text.strip()]
             slow = model.predict_proba_for_nodes(nodes, doc)
             assert fast.shape == slow.shape
             assert np.array_equal(fast, slow)  # bitwise, not allclose
 
     def test_pipe_characters_in_attributes_and_text(self):
-        """Vocabulary compilation must invert names whose values contain
-        the separator character."""
+        """Attribute values and frequent strings that contain the name
+        separator score exactly as on the per-node path."""
 
         def weird_page(i: int) -> str:
             return (
@@ -194,72 +220,3 @@ class TestDirectModelEquivalence:
             slow = extractor.legacy_candidates_for_page(doc, page_index)
             assert_pages_identical([fast], [slow])
 
-
-class TestCompileVocabulary:
-    LEVELS = 4
-    WIDTH = 5
-
-    def packed(self, level: int, sibling: int) -> int:
-        return level * (2 * self.WIDTH + 1) + sibling + self.WIDTH
-
-    def test_structural_names_invert_exactly(self):
-        vocabulary = {
-            "xfer:s|tag|div|0|0": 0,
-            "site:s|class|hero|2|-3": 1,
-            "site:s|class|a|b|1|4": 2,  # value contains the separator
-            "site:s|id|x|0|0": 3,
-        }
-        struct, text = compile_vocabulary(vocabulary, self.LEVELS, self.WIDTH)
-        assert struct[("tag", "div")] == {self.packed(0, 0): 0}
-        assert struct[("class", "hero")] == {self.packed(2, -3): 1}
-        assert struct[("class", "a|b")] == {self.packed(1, 4): 2}
-        assert struct[("id", "x")] == {self.packed(0, 0): 3}
-        assert text == {}
-
-    def test_out_of_window_positions_skipped(self):
-        """Positions the scorer can never probe don't enter the lookup
-        (and can't alias another window slot via packing)."""
-        vocabulary = {
-            "xfer:s|tag|div|9|0": 0,  # level beyond the ancestor window
-            "xfer:s|tag|div|0|7": 1,  # sibling beyond the width
-            "xfer:s|tag|div|1|-2": 2,
-        }
-        struct, _ = compile_vocabulary(vocabulary, self.LEVELS, self.WIDTH)
-        assert struct[("tag", "div")] == {self.packed(1, -2): 2}
-
-    def test_text_names_invert_exactly(self):
-        vocabulary = {
-            "site:t|Director:|u0|": 0,
-            "site:t|Director:|u2|div/span": 1,
-            "site:t|Genre | mix|u1|td": 2,  # text contains the separator
-        }
-        struct, text = compile_vocabulary(vocabulary, self.LEVELS, self.WIDTH)
-        assert struct == {}
-        assert text[("Director:", "")] == {0: 0}
-        assert text[("Director:", "div/span")] == {2: 1}
-        assert text[("Genre | mix", "td")] == {1: 2}
-
-    def test_foreign_names_skipped(self):
-        struct, text = compile_vocabulary(
-            {"bias": 0, "site:s|broken": 1, "site:t|x": 2, "xfer:s|tag|div|a|b": 3},
-            self.LEVELS,
-            self.WIDTH,
-        )
-        assert struct == {}
-        assert text == {}
-
-    def test_wrong_namespace_skipped(self):
-        """Names the extractors could never emit — un-namespaced, or a
-        family under the other namespace — don't enter the lookups."""
-        struct, text = compile_vocabulary(
-            {
-                "s|tag|div|0|0": 0,       # pre-namespace legacy name
-                "t|Director:|u0|": 1,     # pre-namespace legacy name
-                "site:s|tag|div|0|0": 2,  # tags live in xfer:, not site:
-                "xfer:t|Director:|u0|": 3,  # text features live in site:
-            },
-            self.LEVELS,
-            self.WIDTH,
-        )
-        assert struct == {}
-        assert text == {}
