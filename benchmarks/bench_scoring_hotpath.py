@@ -1,4 +1,4 @@
-"""Scoring hot path: batched scoring vs. legacy per-node.
+"""Scoring hot path: batched scoring vs. the per-node chain.
 
 PR 1/PR 2 removed the architectural waste from warm serving (per-page
 extractor rebuilds, unbounded caches); the remaining cost was the scoring
@@ -13,12 +13,14 @@ This benchmark serves the same 200-page site warm through both paths and
 checks:
 
 * **equivalence** — thresholded extraction rows are byte-identical
-  between the batched engine, the legacy per-node oracle, and the
-  one-shot pipeline;
-* **throughput** — warm batched pages/s, with speedups vs. the in-process
-  legacy path and vs. the PR 2 baseline (1,220 pages/s from
-  ``benchmarks/out/cache_memory.txt``); the full run fails unless the
-  batched engine clears 3x the PR 2 baseline.
+  between the batched engine, the per-node chain of
+  ``tests/reference_chain.py`` (feature dicts → vectorizer →
+  ``predict_proba`` → the extractor's candidate assembly, the chain the
+  tests compare against), and the one-shot pipeline;
+* **throughput** — warm batched pages/s, with speedups vs. the
+  in-process per-node chain and vs. the 1,220 pages/s warm-path
+  baseline from ``benchmarks/out/cache_memory.txt``; the full run fails
+  unless the batched engine clears 3x that baseline.
 
 Run::
 
@@ -34,9 +36,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))  # for conftest.report
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+# The per-node reference chain the tests use.
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from conftest import report, report_metrics  # noqa: E402
 
+from reference_chain import reference_page_candidates  # noqa: E402
 from repro.core.config import CeresConfig  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.core.pipeline import CeresPipeline  # noqa: E402
@@ -100,21 +105,21 @@ def run_benchmark(
             raise AssertionError("batched engine diverged from one-shot extract")
         return len(fresh), timing.elapsed
 
-    def legacy_batch() -> tuple[int, float]:
-        """The PR 2 warm path: per-page, per-node scoring via the oracle."""
+    def per_node_batch() -> tuple[int, float]:
+        """The per-page, per-node warm path."""
         fresh = fresh_documents()
-        with bench.timer("bench.legacy_batch_seconds") as timing:
+        with bench.timer("bench.per_node_batch_seconds") as timing:
             extractions = []
             for page_index, document in enumerate(fresh):
                 extractor = pool.extractor_for(document)
                 if extractor is None:
                     continue
-                candidates = extractor.legacy_candidates_for_page(
-                    document, page_index
+                candidates = reference_page_candidates(
+                    extractor, document, page_index
                 )
                 extractions.extend(candidates.extractions(threshold))
         if rows_for(extractions, fresh, site.name) != expected_rows:
-            raise AssertionError("legacy path diverged from one-shot extract")
+            raise AssertionError("per-node chain diverged from one-shot extract")
         return len(fresh), timing.elapsed
 
     def measure(batch, warmup: int = 2) -> float:
@@ -132,14 +137,14 @@ def run_benchmark(
                 best = seconds
         return pages / best if best > 0 else 0.0
 
-    legacy_pps = measure(legacy_batch)
+    per_node_pps = measure(per_node_batch)
     batched_pps = measure(batched_batch)
     return {
         "n_pages": n_pages,
         "n_batches": n_batches,
-        "legacy_pps": legacy_pps,
+        "per_node_pps": per_node_pps,
         "batched_pps": batched_pps,
-        "speedup_vs_legacy": batched_pps / legacy_pps if legacy_pps else 0.0,
+        "speedup_vs_per_node": batched_pps / per_node_pps if per_node_pps else 0.0,
         "speedup_vs_pr2": batched_pps / PR2_BASELINE_PPS,
         "equivalent": True,  # the batch closures raise otherwise
         "obs_snapshot": bench.snapshot(),
@@ -149,17 +154,17 @@ def run_benchmark(
 def format_table(stats: dict) -> str:
     return "\n".join(
         [
-            "Scoring hot path: batched engine vs legacy per-node",
+            "Scoring hot path: batched engine vs per-node chain",
             f"  pages per batch        {stats['n_pages']}",
             f"  batches                {stats['n_batches']}",
-            f"  legacy warm            {stats['legacy_pps']:10.1f} pages/s",
+            f"  per-node warm          {stats['per_node_pps']:10.1f} pages/s",
             f"  batched warm           {stats['batched_pps']:10.1f} pages/s",
-            f"  speedup vs legacy      {stats['speedup_vs_legacy']:10.2f}x",
+            f"  speedup vs per-node    {stats['speedup_vs_per_node']:10.2f}x",
             f"  speedup vs PR2 base    {stats['speedup_vs_pr2']:10.2f}x"
             f"   (baseline {PR2_BASELINE_PPS:.0f} pages/s, gate >= "
             f"{REQUIRED_SPEEDUP:.0f}x)",
             "  extractions            byte-identical "
-            "(batched == legacy == one-shot)",
+            "(batched == per-node chain == one-shot)",
         ]
     )
 

@@ -16,19 +16,18 @@ participating in several relations — is resolved by:
   or (2) the object is over-represented across pages (informativeness:
   the all-genres-on-every-page hazard).
 
-The annotator runs a vectorized hot path by default and keeps the
-original implementations as the equivalence oracle (the same pattern as
-PR 3's ``legacy_candidates_for_page``); :meth:`RelationAnnotator.legacy_annotate`
-produces byte-identical annotations through the pure-Python code:
+The hot path:
 
-* mention gathering reads precomputed per-subject surface variants from a
-  :class:`repro.kb.surfaces.SurfaceIndex` instead of re-expanding
-  ``surface_variants`` for every triple on every page;
+* mention gathering reads the per-subject surface variants a
+  :class:`repro.kb.surfaces.SurfaceIndex` expands once per subject;
 * local evidence packs each mention's ancestor set into an int bitset and
-  forms the per-mention blocked set from prefix/suffix unions —
-  O(M·depth) instead of the O(M²·depth) pairwise frozenset unions;
+  forms the per-mention blocked set from prefix/suffix unions, so it is
+  O(M·depth) in the number of mentions M;
 * XPath clustering runs the interned-token batched Levenshtein matrix
-  (:mod:`repro.text.distance`) instead of pairwise Python calls.
+  (:mod:`repro.text.distance`).
+
+``tests/golden/annotation_digests.json`` pins the annotations these
+produce, as written by the pure-Python implementations they replaced.
 """
 
 from __future__ import annotations
@@ -106,43 +105,7 @@ class RelationAnnotator:
             )
         return dict(by_predicate)
 
-    def legacy_collect_object_mentions(
-        self, document: Document, topic: TopicResult
-    ) -> dict[str, list[ObjectMentions]]:
-        """The original per-triple mention gathering (equivalence oracle)."""
-        match = self.matcher.match(document)
-        by_predicate: dict[str, list[ObjectMentions]] = defaultdict(list)
-        seen: set[tuple[str, ValueKey]] = set()
-        for triple in self.kb.triples_for_subject(topic.entity_id):
-            key = (triple.predicate, triple.object.key)
-            if key in seen:
-                continue
-            seen.add(key)
-            surfaces = self.kb.object_surfaces(triple)
-            if not surfaces:
-                continue
-            mentions = [
-                node
-                for node in match.mentions_of_surfaces(surfaces)
-                if node is not topic.node
-            ]
-            if not mentions:
-                continue
-            object_text = (
-                self.kb.entity(triple.object.value).name
-                if triple.object.is_entity
-                else triple.object.value
-            )
-            by_predicate[triple.predicate].append(
-                ObjectMentions(triple.predicate, triple.object.key, object_text, mentions)
-            )
-        return dict(by_predicate)
-
     # -- local evidence (BestLocalMention) -----------------------------------
-
-    @staticmethod
-    def _ancestor_ids(node: TextNode) -> frozenset[int]:
-        return frozenset(id(a) for a in node.ancestors())
 
     def best_local_mentions(
         self,
@@ -222,41 +185,6 @@ class RelationAnnotator:
                 best.append(mention)
         return best
 
-    def legacy_best_local_mentions(
-        self,
-        mentions: list[TextNode],
-        co_object_mentions: list[list[TextNode]],
-    ) -> list[TextNode]:
-        """The original frozenset-union implementation (equivalence oracle)."""
-        if len(mentions) == 1:
-            return list(mentions)
-        ancestor_sets = {id(m): self._ancestor_ids(m) for m in mentions}
-        co_ancestor_sets = [
-            [self._ancestor_ids(node) for node in group] for group in co_object_mentions
-        ]
-
-        best_count = -1
-        best: list[TextNode] = []
-        for mention in mentions:
-            blocked: set[int] = set()
-            for other in mentions:
-                if other is not mention:
-                    blocked |= ancestor_sets[id(other)]
-            ancestor = mention.element
-            while ancestor.parent is not None and id(ancestor.parent) not in blocked:
-                ancestor = ancestor.parent
-            anchor = id(ancestor)
-            neighbor_count = 0
-            for group_sets in co_ancestor_sets:
-                if any(anchor in node_set for node_set in group_sets):
-                    neighbor_count += 1
-            if neighbor_count > best_count:
-                best_count = neighbor_count
-                best = [mention]
-            elif neighbor_count == best_count:
-                best.append(mention)
-        return best
-
     # -- global statistics ----------------------------------------------------
 
     def _compute_global_stats(
@@ -296,7 +224,6 @@ class RelationAnnotator:
         self,
         predicate: str,
         page_mentions: dict[int, dict[str, list[ObjectMentions]]],
-        engine: str = "batched",
     ) -> tuple[dict[int, int], Counter]:
         """Cluster all mention XPaths of a predicate across the site.
 
@@ -317,7 +244,6 @@ class RelationAnnotator:
             paths,
             n_clusters=max_mentions,
             max_items=self.config.max_cluster_items,
-            engine=engine,
         )
         labels_by_node = {id(node): label for node, label in zip(nodes, labels)}
         return labels_by_node, Counter(labels)
@@ -329,45 +255,20 @@ class RelationAnnotator:
         documents: list[Document],
         topics: dict[int, TopicResult],
     ) -> list[AnnotatedPage]:
-        """Annotate all pages of one template cluster (vectorized path).
+        """Annotate all pages of one template cluster.
 
         Pages failing the informativeness filter (fewer than
         ``min_annotations_per_page`` relation annotations) are dropped,
         completing Algorithm 1's final step.
         """
-        return self._annotate(documents, topics, legacy=False)
-
-    def legacy_annotate(
-        self,
-        documents: list[Document],
-        topics: dict[int, TopicResult],
-    ) -> list[AnnotatedPage]:
-        """:meth:`annotate` through the original pure-Python implementations.
-
-        Kept as the equivalence oracle: output is byte-identical to the
-        vectorized path (covered by tests and the annotation benchmark).
-        """
-        return self._annotate(documents, topics, legacy=True)
-
-    def _annotate(
-        self,
-        documents: list[Document],
-        topics: dict[int, TopicResult],
-        legacy: bool,
-    ) -> list[AnnotatedPage]:
         config = self.config
-        collect = (
-            self.legacy_collect_object_mentions if legacy else self.collect_object_mentions
-        )
-        best_local = (
-            self.legacy_best_local_mentions if legacy else self.best_local_mentions
-        )
-        cluster_engine = "python" if legacy else "batched"
 
         # Pass 1: gather mentions for every page with a topic.
         page_mentions: dict[int, dict[str, list[ObjectMentions]]] = {}
         for page_index, topic in topics.items():
-            page_mentions[page_index] = collect(documents[page_index], topic)
+            page_mentions[page_index] = self.collect_object_mentions(
+                documents[page_index], topic
+            )
 
         frequently_duplicated, over_represented = self._compute_global_stats(
             page_mentions
@@ -379,7 +280,7 @@ class RelationAnnotator:
         def clusters_for(predicate: str) -> tuple[dict[int, int], Counter]:
             if predicate not in cluster_cache:
                 cluster_cache[predicate] = self._cluster_predicate(
-                    predicate, page_mentions, engine=cluster_engine
+                    predicate, page_mentions
                 )
             return cluster_cache[predicate]
 
@@ -397,7 +298,6 @@ class RelationAnnotator:
                         frequently_duplicated,
                         over_represented,
                         clusters_for,
-                        best_local,
                     )
                     if chosen is not None:
                         annotations.append(
@@ -422,12 +322,9 @@ class RelationAnnotator:
         frequently_duplicated: set[str],
         over_represented: set[tuple[str, ValueKey]],
         clusters_for,
-        best_local=None,
     ) -> TextNode | None:
         """Decide which mention (if any) of ``obj`` to annotate."""
-        if best_local is None:
-            best_local = self.best_local_mentions
-        best = best_local(obj.mentions, co_mentions)
+        best = self.best_local_mentions(obj.mentions, co_mentions)
         predicate = obj.predicate
         if len(best) == 1:
             mention = best[0]

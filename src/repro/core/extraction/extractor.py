@@ -77,9 +77,7 @@ class CeresExtractor:
     Scoring goes through
     :meth:`~repro.core.extraction.trainer.CeresModel.score_pages`: every
     call — single page or batch — builds one CSR matrix over all scored
-    nodes and does one matmul.  :meth:`legacy_candidates_for_page` keeps
-    the original per-node chain as the equivalence oracle (tests and the
-    hot-path benchmark diff the two).
+    nodes and does one matmul.
     """
 
     def __init__(self, model: CeresModel, config: CeresConfig | None = None) -> None:
@@ -94,7 +92,7 @@ class CeresExtractor:
     def _page_candidates(
         self, nodes: list[TextNode], probabilities: np.ndarray, page_index: int
     ) -> PageCandidates:
-        """Candidate assembly shared by the batched and legacy paths.
+        """Candidates of one page from its nodes' class probabilities.
 
         The name node is the field with the highest ``name`` probability;
         every other field contributes its argmax non-OTHER, non-name class
@@ -146,19 +144,6 @@ class CeresExtractor:
     ) -> PageCandidates:
         """Score every text field of a page."""
         return self.candidates_batch([document], [page_index])[0]
-
-    def legacy_candidates_for_page(
-        self, document: Document, page_index: int = 0
-    ) -> PageCandidates:
-        """The original per-node scoring chain (feature dicts → vectorizer
-        → per-page matmul) — the equivalence oracle for the batched
-        engine.  Must produce bit-identical output to
-        :meth:`candidates_for_page`."""
-        nodes = [node for node in document.text_fields() if node.text.strip()]
-        if not nodes:
-            return PageCandidates(page_index, None, 0.0, [])
-        probabilities = self.model.predict_proba_for_nodes(nodes, document)
-        return self._page_candidates(nodes, probabilities, page_index)
 
     def extract_page(
         self, document: Document, page_index: int = 0, threshold: float | None = None

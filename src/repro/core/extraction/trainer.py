@@ -9,8 +9,6 @@ Training and scoring walk the DOM through one
 :class:`~repro.core.extraction.features.FeatureNameBatcher`: training
 vectorizes its name rows, and :meth:`CeresModel.score_pages` resolves
 its row ids against the fitted vocabulary.
-:meth:`CeresModel.predict_proba_for_nodes` keeps the original per-node
-chain as the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -55,19 +53,6 @@ class CeresModel:
     def labels(self) -> list[str]:
         return list(self.classifier.classes_)
 
-    def predict_proba_for_nodes(
-        self, nodes: list[TextNode], document: Document
-    ) -> np.ndarray:
-        """Class probabilities for each node, rows aligned with ``nodes``.
-
-        This is the legacy per-node chain (feature dicts → vectorizer →
-        classifier), retained as the equivalence oracle for
-        :meth:`score_pages`.
-        """
-        samples = [self.feature_extractor.features(node, document) for node in nodes]
-        X = self.vectorizer.transform(samples)
-        return self.classifier.predict_proba(X)
-
     def score_pages(self, documents: Sequence[Document]) -> list[PageScores]:
         """Score every text field of every page with one matrix multiply.
 
@@ -76,8 +61,9 @@ class CeresModel:
         ``(0, n_classes)`` probability block.  Each row id is resolved
         against the vocabulary once per model: its sorted, duplicate-free
         columns — the canonical layout :meth:`FeatureVectorizer.transform`
-        emits — so the probabilities equal :meth:`predict_proba_for_nodes`
-        bit for bit.
+        emits — so the probabilities equal those of the per-node chain
+        (:meth:`NodeFeatureExtractor.features` → ``transform`` →
+        ``predict_proba``) bit for bit.
         """
         # Resolved per call, so a model built before obs.enable() still
         # reports; when off, every record below is a no-op.
@@ -156,8 +142,9 @@ class CeresTrainer:
         matrix through the vectorizer's preallocated name-row path, and
         the classifier fits through the deduplicated fast objective.  The
         resulting model — vocabulary, matrix, and coefficients — is
-        byte-identical to :meth:`legacy_train` (covered by tests and the
-        annotation hot-path benchmark).
+        byte-identical to the per-node chain's (feature dicts,
+        :meth:`FeatureVectorizer.fit_transform`, the textbook objective
+        under ``scipy.optimize.minimize``).
         """
         if not examples:
             raise ValueError("no training examples — annotation produced nothing")
@@ -174,31 +161,4 @@ class CeresTrainer:
             C=self.config.classifier_C, max_iter=self.config.classifier_max_iter
         )
         classifier.fit(X, labels)
-        return CeresModel(extractor, vectorizer, classifier)
-
-    def legacy_train(
-        self,
-        examples: list[TrainingExample],
-        documents: list[Document],
-    ) -> CeresModel:
-        """:meth:`train` through the original row-by-row chain.
-
-        Kept as the equivalence oracle: per-node feature dicts, dict
-        vectorization, and the reference L-BFGS objective under
-        ``scipy.optimize.minimize``.
-        """
-        if not examples:
-            raise ValueError("no training examples — annotation produced nothing")
-        extractor = NodeFeatureExtractor(self.config).fit(documents)
-        samples = [
-            extractor.features(example.node, documents[example.page_index])
-            for example in examples
-        ]
-        labels = [example.label for example in examples]
-        vectorizer = FeatureVectorizer()
-        X = vectorizer.fit_transform(samples)
-        classifier = SoftmaxRegression(
-            C=self.config.classifier_C, max_iter=self.config.classifier_max_iter
-        )
-        classifier.fit(X, labels, engine="reference")
         return CeresModel(extractor, vectorizer, classifier)

@@ -107,20 +107,8 @@ class CeresPipeline:
 
     def annotate(self, documents: list[Document]) -> CeresResult:
         """Run clustering, topic identification, and relation annotation."""
-        return self._annotate(documents, legacy=False)
-
-    def legacy_annotate(self, documents: list[Document]) -> CeresResult:
-        """:meth:`annotate` through the annotator's legacy oracle path.
-
-        Requires an annotator exposing ``legacy_annotate`` (the default
-        :class:`~repro.core.annotation.relation.RelationAnnotator` does);
-        output is byte-identical to :meth:`annotate`'s.
-        """
-        return self._annotate(documents, legacy=True)
-
-    def _annotate(self, documents: list[Document], legacy: bool) -> CeresResult:
         with obs.stage("stage.annotate", pages=len(documents)) as annotate_stage:
-            result = self._annotate_instrumented(documents, legacy)
+            result = self._annotate_instrumented(documents)
             annotate_stage.set(
                 annotated_pages=len(result.annotated_pages),
                 annotations=result.annotation_count,
@@ -134,13 +122,8 @@ class CeresPipeline:
         registry.inc("pipeline.skipped_pages", result.skipped_pages)
         return result
 
-    def _annotate_instrumented(
-        self, documents: list[Document], legacy: bool
-    ) -> CeresResult:
+    def _annotate_instrumented(self, documents: list[Document]) -> CeresResult:
         config = self.config
-        annotate_cluster = (
-            self.annotator.legacy_annotate if legacy else self.annotator.annotate
-        )
         if config.use_template_clustering:
             with obs.stage("stage.cluster", pages=len(documents)):
                 clusters = cluster_pages(
@@ -170,7 +153,7 @@ class CeresPipeline:
                 continue
             cluster_documents = [documents[i] for i in page_indices]
             local_topics = self.topic_identifier.identify(cluster_documents)
-            annotated = annotate_cluster(cluster_documents, local_topics)
+            annotated = self.annotator.annotate(cluster_documents, local_topics)
             # Re-key page indices from cluster-local to global.
             global_topics = {
                 page_indices[local]: TopicResult(
@@ -210,17 +193,6 @@ class CeresPipeline:
                 cluster.model = self.trainer.train(examples, documents)
             train_stage.set(clusters_trained=len(per_cluster))
         obs.metrics().inc("pipeline.clusters_trained", len(per_cluster))
-        return result
-
-    def legacy_train(self, documents: list[Document], result: CeresResult) -> CeresResult:
-        """:meth:`train` through the legacy row-by-row trainer (oracle).
-
-        Consumes the negative-sampling RNG identically, so models are
-        byte-identical to :meth:`train`'s.
-        """
-        per_cluster = self.cluster_examples(result)
-        for cluster, examples in per_cluster:
-            cluster.model = self.trainer.legacy_train(examples, documents)
         return result
 
     def cluster_examples(self, result: CeresResult):

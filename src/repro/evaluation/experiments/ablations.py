@@ -53,8 +53,8 @@ class _LocalOnlyAnnotator(RelationAnnotator):
     over-represented objects are simply dropped."""
 
     def _choose_mention(self, obj, co_mentions, frequently_duplicated,
-                        over_represented, clusters_for, best_local=None):
-        best = (best_local or self.best_local_mentions)(obj.mentions, co_mentions)
+                        over_represented, clusters_for):
+        best = self.best_local_mentions(obj.mentions, co_mentions)
         if len(best) == 1:
             return best[0]
         return None

@@ -72,25 +72,14 @@ class PageMatch:
         """All entity ids mentioned on the page."""
         return set(self.entity_mentions.keys())
 
-    def mentions_of_surfaces(self, surfaces: list[str]) -> list[TextNode]:
-        """Text nodes whose full text matches any of ``surfaces``.
-
-        Duplicates are removed (two surface variants can normalize to the
-        same field) and the result is sorted by XPath, so it depends only
-        on the set of surfaces supplied.
-        """
-        variants: list[str] = []
-        for surface in surfaces:
-            variants.extend(surface_variants(surface))
-        return self.mentions_of_variants(variants)
-
     def mentions_of_variants(self, variants) -> list[TextNode]:
-        """Text nodes matching any of the precomputed normalized ``variants``.
+        """Text nodes matching any of the normalized ``variants`` (as
+        :func:`repro.text.fuzzy.surface_variants` expands them, e.g. once
+        per subject in :class:`repro.kb.surfaces.SurfaceIndex`).
 
-        The fast path for callers that expand surface variants once (e.g.
-        :class:`repro.kb.surfaces.SurfaceIndex`) instead of per page.  The
-        result is sorted by XPath, so it depends only on the *set* of
-        variants supplied.
+        Duplicates are removed (two variants can match the same field)
+        and the result is sorted by XPath, so it depends only on the
+        *set* of variants supplied.
         """
         seen: set[int] = set()
         found: list[TextNode] = []

@@ -2,20 +2,17 @@
 
 Relation annotation (Algorithm 2) retrieves, for every page topic, all KB
 objects of that topic and looks their surface forms up on the page.  The
-surface forms pass through :func:`repro.text.fuzzy.surface_variants` —
-and before this index existed, that expansion re-ran for every triple on
-every page: the same cast member's variants were regenerated for each of
-their films, on each page mentioning one.
+surface forms pass through :func:`repro.text.fuzzy.surface_variants`,
+and expanding them per triple and page would regenerate the same cast
+member's variants for each of their films, on each page mentioning one.
 
 :class:`SurfaceIndex` precomputes, per subject, the deduplicated list of
 ``(predicate, object key, object text, variants)`` entries exactly once
 (lazily, cached for the lifetime of the index — one index per annotator
 serves a whole template cluster).  The variant lists are flattened across
 an object's surfaces, so :meth:`repro.kb.matcher.PageMatch.mentions_of_variants`
-can consume them directly.  The mention lists produced are identical to
-the legacy per-triple path: ``mentions_of_surfaces`` deduplicates nodes
-and sorts them by XPath, so only the *union* of variants matters, and the
-union here is the same.
+can consume them directly: it deduplicates nodes and sorts them by
+XPath, so only the *union* of an object's variants matters.
 """
 
 from __future__ import annotations
@@ -55,9 +52,8 @@ class SurfaceIndex:
     def entries_for_subject(self, subject_id: str) -> tuple[SubjectObject, ...]:
         """Deduplicated object entries of ``subject_id``.
 
-        Mirrors the legacy iteration exactly: triples in insertion order,
-        first occurrence of each ``(predicate, object key)`` wins, objects
-        with no surfaces skipped.
+        Triples in insertion order, first occurrence of each ``(predicate,
+        object key)`` wins, objects with no surfaces skipped.
         """
         cached = self._by_subject.get(subject_id)
         if cached is not None:

@@ -1,6 +1,6 @@
 """Machine-learning substrate: vectorizer, classifier, clustering, metrics."""
 
-from repro.ml.cluster import agglomerative_cluster, cluster_xpaths, pairwise_distance_matrix
+from repro.ml.cluster import agglomerative_cluster, cluster_xpaths
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression
 from repro.ml.metrics import PRF, f1_score, mean_prf
@@ -8,7 +8,6 @@ from repro.ml.metrics import PRF, f1_score, mean_prf
 __all__ = [
     "agglomerative_cluster",
     "cluster_xpaths",
-    "pairwise_distance_matrix",
     "FeatureVectorizer",
     "SoftmaxRegression",
     "PRF",

@@ -18,42 +18,23 @@ could in principle mistake a stale entry for live after Lance–Williams
 averaging recreated an old value.  Row updates run vectorized over the
 whole distance matrix; the per-element arithmetic is the same IEEE
 multiply-add-divide the scalar loop performed, so merge distances are
-bit-identical to the legacy implementation's.
+bit-identical to the scalar implementation's.
 
 The distance matrix itself comes from the interned-token batched
 Levenshtein engine (:func:`repro.text.distance.levenshtein_matrix`) —
-one numpy DP over all pairs instead of ``n^2/2`` Python calls;
-``engine="python"`` keeps the pure-Python pairwise path as the
-equivalence oracle.
+one numpy DP over all pairs instead of ``n^2/2`` Python calls.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
-from typing import TypeVar
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.text.distance import levenshtein, levenshtein_matrix
 
-__all__ = ["agglomerative_cluster", "cluster_xpaths", "pairwise_distance_matrix"]
-
-T = TypeVar("T")
-
-
-def pairwise_distance_matrix(
-    items: Sequence[T], distance_fn: Callable[[T, T], float]
-) -> np.ndarray:
-    """Symmetric distance matrix with a zero diagonal (pure-Python pairwise)."""
-    n = len(items)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(distance_fn(items[i], items[j]))
-            matrix[i, j] = d
-            matrix[j, i] = d
-    return matrix
+__all__ = ["agglomerative_cluster", "cluster_xpaths"]
 
 
 def agglomerative_cluster(
@@ -137,8 +118,6 @@ def cluster_xpaths(
     xpath_tokens: Sequence[tuple],
     n_clusters: int,
     max_items: int = 400,
-    *,
-    engine: str = "batched",
 ) -> list[int]:
     """Cluster XPath step tuples by Levenshtein distance.
 
@@ -146,11 +125,6 @@ def cluster_xpaths(
     When more than ``max_items`` paths are supplied, clustering runs on the
     distinct paths only (identical paths trivially co-cluster), keeping the
     distance matrix tractable.
-
-    ``engine`` selects the distance-matrix implementation: ``"batched"``
-    (default) interns the steps and runs the vectorized all-pairs DP,
-    ``"python"`` is the pure-Python pairwise oracle.  Both produce exact
-    integer distances, so labels are identical.
 
     Returns one label per input path.
     """
@@ -171,13 +145,7 @@ def cluster_xpaths(
     else:
         kept_paths = unique_paths
 
-    if engine == "batched":
-        matrix = levenshtein_matrix(kept_paths)
-    elif engine == "python":
-        matrix = pairwise_distance_matrix(kept_paths, levenshtein)
-    else:
-        raise ValueError(f"unknown cluster_xpaths engine {engine!r}")
-    kept_labels = agglomerative_cluster(matrix, n_clusters)
+    kept_labels = agglomerative_cluster(levenshtein_matrix(kept_paths), n_clusters)
     label_of_kept = dict(zip(kept_paths, kept_labels))
 
     def label_for(path: tuple) -> int:

@@ -12,12 +12,10 @@ term is multiplied by ``C``), optimized with ``scipy.optimize`` L-BFGS-B
 using analytic gradients.  Intercepts are unregularized, as in
 scikit-learn.
 
-Two solve paths produce **bit-identical coefficients**:
-
-* the *reference* path — the original textbook objective handed to
-  ``scipy.optimize.minimize`` — kept as the equivalence oracle;
-* the *fast* path (default), which removes interpreter and allocator
-  overhead without changing a single float operation:
+The solve removes interpreter and allocator overhead without changing a
+single float operation, so its coefficients are bit-identical to those
+``scipy.optimize.minimize`` finds over the textbook loss and gradient
+(the tests compare the two on the installed numpy/scipy):
 
   - duplicate CSR rows (template sites repeat feature patterns on every
     page) are collapsed for the forward matvec and the softmax chain —
@@ -32,8 +30,8 @@ Two solve paths produce **bit-identical coefficients**:
     ``scipy.optimize._minimize_lbfgsb``'s call sequence (same ``factr``,
     ``pgtol``, ``m``, ``maxls``, iteration/termination bookkeeping) while
     skipping the per-evaluation ``ScalarFunction`` wrapper cost.  If the
-    private interface is unavailable or mismatched, the fast path falls
-    back to ``scipy.optimize.minimize`` transparently.
+    private interface is unavailable or mismatched, the solve falls back
+    to ``scipy.optimize.minimize`` transparently.
 """
 
 from __future__ import annotations
@@ -98,16 +96,10 @@ class SoftmaxRegression:
 
     # -- training ---------------------------------------------------------
 
-    def fit(self, X: sp.spmatrix, y, engine: str = "fast") -> SoftmaxRegression:
-        """Fit on sparse features ``X`` and labels ``y`` (any hashables).
-
-        ``engine="fast"`` (default) runs the deduplicated, preallocated
-        objective through the direct ``setulb`` driver; ``"reference"``
-        runs the original objective through ``scipy.optimize.minimize``.
-        Both produce bit-identical coefficients (covered by tests).
-        """
-        if engine not in ("fast", "reference"):
-            raise ValueError(f"unknown fit engine {engine!r}")
+    def fit(self, X: sp.spmatrix, y) -> SoftmaxRegression:
+        """Fit on sparse features ``X`` and labels ``y`` (any hashables)
+        with the deduplicated, preallocated objective through the direct
+        ``setulb`` loop."""
         X = sp.csr_matrix(X)
         y = np.asarray(y)
         if X.shape[0] != y.shape[0]:
@@ -127,55 +119,23 @@ class SoftmaxRegression:
         Y = np.zeros((n_samples, n_classes))
         Y[np.arange(n_samples), y_idx] = 1.0
 
-        if engine == "fast":
-            objective = self._fast_objective(X, Y)
-            flat = _minimize_lbfgsb(
-                objective,
-                n_classes * n_features + n_classes,
-                maxiter=self.max_iter,
-                pgtol=self.tol,
-            )
-        else:
-            objective = self._reference_objective(X, Y)
-            flat = scipy.optimize.minimize(
-                objective,
-                np.zeros(n_classes * n_features + n_classes),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": self.max_iter, "gtol": self.tol},
-            ).x
+        flat = _minimize_lbfgsb(
+            self._fast_objective(X, Y),
+            n_classes * n_features + n_classes,
+            maxiter=self.max_iter,
+            pgtol=self.tol,
+        )
         self.coef_ = flat[: n_classes * n_features].reshape(n_classes, n_features)
         self.intercept_ = flat[n_classes * n_features :]
         return self
-
-    def _reference_objective(self, X: sp.csr_matrix, Y: np.ndarray):
-        """The original textbook loss/gradient closure (equivalence oracle)."""
-        n_samples, n_features = X.shape
-        n_classes = Y.shape[1]
-        Xt = X.T.tocsr()
-
-        def objective(flat: np.ndarray):
-            W = flat[: n_classes * n_features].reshape(n_classes, n_features)
-            b = flat[n_classes * n_features :]
-            logits = X @ W.T + b
-            log_prob = _log_softmax(logits)
-            data_loss = -np.sum(Y * log_prob)
-            reg_loss = 0.5 * np.sum(W * W)
-            loss = reg_loss + self.C * data_loss
-
-            P = np.exp(log_prob)
-            G = self.C * (P - Y)  # (n_samples, n_classes)
-            grad_W = (Xt @ G).T + W
-            grad_b = G.sum(axis=0)
-            return loss, np.concatenate([grad_W.ravel(), grad_b])
-
-        return objective
 
     def _fast_objective(self, X: sp.csr_matrix, Y: np.ndarray):
         """Preallocated, row-deduplicated closure.
 
         Every float is produced by the same operation sequence as the
-        reference closure: the forward matvec replicates
+        textbook closure (``logits = X @ W.T + b``, log-softmax, ``0.5 *
+        sum(W * W) + C * -sum(Y * log_prob)``, ``grad_W = (X.T @ G).T +
+        W``, ``grad_b = G.sum(0)``): the forward matvec replicates
         ``_matmul_multivector`` (zeroed output + ``csr_matvecs`` on a
         C-contiguous ``W.T``), row-level ops are computed once per
         *distinct* row and gathered back (row-local math is identical),

@@ -50,7 +50,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Collection, Iterable, Iterator, TextIO
 from urllib.parse import quote
 
 from repro.testing.faults import (
@@ -423,13 +423,20 @@ class RunJournal:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def open(self, *, config_hash: str, resume: bool = False) -> dict[str, dict]:
+    def open(
+        self,
+        *,
+        config_hash: str,
+        resume: bool = False,
+        report_fields: Collection[str] = (),
+    ) -> dict[str, dict]:
         """Create/replay the journal; returns each site's last record.
 
         A fresh run refuses an existing journal (pass ``resume=True`` to
         continue one); a resumed run refuses a journal written under a
         different config hash — silently mixing configs would make the
-        "resumed ≡ uninterrupted" guarantee a lie.
+        "resumed ≡ uninterrupted" guarantee a lie.  ``report_fields``
+        names the keys a site record's ``report`` may carry.
         """
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.rows_dir.mkdir(exist_ok=True)
@@ -440,7 +447,7 @@ class RunJournal:
                     f"{self.path} already exists — resume the run "
                     f"(--resume) or point --run-dir at a fresh directory"
                 )
-            for record in self.replay():
+            for line, record in self._numbered_records():
                 if record.get("event") == "run":
                     found = record.get("config_hash")
                     if found != config_hash:
@@ -452,6 +459,11 @@ class RunJournal:
                             f"fresh run-dir"
                         )
                 elif record.get("event") == "site":
+                    unknown = sorted(set(record.get("report", {})) - set(report_fields))
+                    if unknown:
+                        raise JournalError(
+                            f"{self.path}:{line}: unknown site report keys {unknown}"
+                        )
                     states[record["site"]] = record
         self._handle = open(self.path, "a", encoding="utf-8")
         fsync_directory(self.run_dir)
@@ -498,23 +510,39 @@ class RunJournal:
     def replay(self) -> list[dict]:
         """All durable records, oldest first; a torn final line (the
         append in flight when the process died) is discarded."""
+        return [record for _, record in self._numbered_records()]
+
+    def _numbered_records(self) -> list[tuple[int, dict]]:
+        """``(line number, record)`` for :meth:`replay`.  Any line but a
+        torn final one that is not a record of the shapes above — a JSON
+        object; site events with string ``site`` and ``state`` and, if
+        any, a ``report`` object — raises :class:`JournalError` naming
+        ``path:line``."""
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except FileNotFoundError:
             return []
-        lines = text.splitlines()
-        records: list[dict] = []
+        lines = data.splitlines()
+        records: list[tuple[int, dict]] = []
         for index, line in enumerate(lines):
             if not line.strip():
                 continue
+            where = f"{self.path}:{index + 1}"
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                record = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 if index == len(lines) - 1:
                     break  # torn tail — the crash-interrupted append
-                raise JournalError(
-                    f"{self.path}:{index + 1}: corrupt journal record: {exc}"
-                ) from exc
+                raise JournalError(f"{where}: corrupt journal record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise JournalError(f"{where}: journal record is not an object")
+            if record.get("event") == "site":
+                for key in ("site", "state"):
+                    if not isinstance(record.get(key), str):
+                        raise JournalError(f"{where}: site record has no string {key!r}")
+                if not isinstance(record.get("report", {}), dict):
+                    raise JournalError(f"{where}: site report is not an object")
+            records.append((index + 1, record))
         return records
 
     # -- per-site rows -----------------------------------------------------
@@ -539,8 +567,10 @@ class RunJournal:
         return self.rows_path(site).read_text(encoding="utf-8")
 
     def read_rows(self, site: str) -> list[dict]:
+        # Rows end in "\n" only; str.splitlines would also split a value
+        # holding U+2028 or U+0085, which json.dumps leaves unescaped.
         return [
             json.loads(line)
-            for line in self.read_rows_text(site).splitlines()
+            for line in self.read_rows_text(site).split("\n")
             if line.strip()
         ]

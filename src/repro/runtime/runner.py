@@ -718,6 +718,7 @@ def run_corpus(
                 kb_sha256=_kb_sha256(Path(kb_path).read_bytes()),
             ),
             resume=resume,
+            report_fields=SiteReport.__dataclass_fields__,
         )
         for spec in specs:
             fingerprints[spec.site] = resilience.site_fingerprint(

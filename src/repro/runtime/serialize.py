@@ -162,13 +162,34 @@ def _classifier_to_dict(classifier: SoftmaxRegression) -> dict:
     }
 
 
-def _classifier_from_dict(data: dict) -> SoftmaxRegression:
+def _classifier_from_dict(data: dict, n_features: int) -> SoftmaxRegression:
+    """Rebuild a fitted classifier over ``n_features`` vocabulary columns.
+
+    Raises ``ValueError`` unless ``coef`` is ``(len(classes),
+    n_features)``, ``intercept`` is ``(len(classes),)`` and every
+    coefficient is finite: a model that loads must also score.
+    """
     classifier = SoftmaxRegression(
         C=data["C"], max_iter=data["max_iter"], tol=data["tol"]
     )
-    classifier.classes_ = np.asarray(data["classes"])
-    classifier.coef_ = np.asarray(data["coef"], dtype=float)
-    classifier.intercept_ = np.asarray(data["intercept"], dtype=float)
+    classes = np.asarray(data["classes"])
+    coef = np.asarray(data["coef"], dtype=float)
+    intercept = np.asarray(data["intercept"], dtype=float)
+    if coef.shape != (len(classes), n_features):
+        raise ValueError(
+            f"coef has shape {coef.shape}, expected "
+            f"({len(classes)}, {n_features}) for {len(classes)} classes "
+            f"and {n_features} vocabulary names"
+        )
+    if intercept.shape != (len(classes),):
+        raise ValueError(
+            f"intercept has shape {intercept.shape}, expected ({len(classes)},)"
+        )
+    if not (np.isfinite(coef).all() and np.isfinite(intercept).all()):
+        raise ValueError("classifier has a non-finite coefficient")
+    classifier.classes_ = classes
+    classifier.coef_ = coef
+    classifier.intercept_ = intercept
     return classifier
 
 
@@ -206,6 +227,8 @@ def _vocabulary_from_jsonable(data: dict | list) -> FeatureVectorizer:
         names = list(data)
     vectorizer = FeatureVectorizer()
     vectorizer.vocabulary_ = {name: index for index, name in enumerate(names)}
+    if len(vectorizer.vocabulary_) != len(names):
+        raise ValueError("vocabulary repeats a name")
     vectorizer._fitted = True
     return vectorizer
 
@@ -253,7 +276,9 @@ def model_from_dict(data: dict, config: CeresConfig) -> CeresModel:
         vectorizer.vocabulary_
     )
     return CeresModel(
-        feature_extractor, vectorizer, _classifier_from_dict(data["classifier"])
+        feature_extractor,
+        vectorizer,
+        _classifier_from_dict(data["classifier"], len(vectorizer.vocabulary_)),
     )
 
 
@@ -278,9 +303,12 @@ def site_model_to_dict(site_model: SiteModel) -> dict:
 
 
 def site_model_from_dict(data: dict) -> SiteModel:
-    """Rebuild a :class:`SiteModel`; raises ``KeyError``/``TypeError`` on
-    malformed input (the registry wraps these into ``RegistryError``)."""
+    """Rebuild a :class:`SiteModel`; raises ``KeyError``/``TypeError``/
+    ``ValueError`` on malformed input (the registry wraps these into
+    ``RegistryError``)."""
     config = config_from_dict(data["config"])
+    if not isinstance(data["clusters"], list):
+        raise ValueError("clusters must be a list")
     clusters = [
         ClusterModel(
             frozenset(entry["signature"]), model_from_dict(entry["model"], config)
@@ -312,11 +340,13 @@ def global_model_to_dict(model: GlobalCeresModel) -> dict:
 
 def global_model_from_dict(data: dict) -> GlobalCeresModel:
     """Rebuild a :class:`GlobalCeresModel`; raises ``KeyError``/
-    ``TypeError`` on malformed input (wrapped by the registry)."""
+    ``TypeError``/``ValueError`` on malformed input (wrapped by the
+    registry)."""
     config = config_from_dict(data["config"])
+    vectorizer = _vocabulary_from_jsonable(data["vocabulary"])
     return GlobalCeresModel(
         TransferFeatureExtractor(data["predicates"], config),
-        _vocabulary_from_jsonable(data["vocabulary"]),
-        _classifier_from_dict(data["classifier"]),
+        vectorizer,
+        _classifier_from_dict(data["classifier"], len(vectorizer.vocabulary_)),
         config,
     )

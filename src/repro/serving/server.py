@@ -326,6 +326,8 @@ class ServingServer:
         registry = obs.metrics()
         try:
             threshold = self._number_field(payload, "threshold")
+            if threshold is not None and not 0.0 <= threshold <= 1.0:
+                raise _JsonReply(400, {"error": "'threshold' must be within [0, 1]"})
             deadline_s = self.config.request_deadline
             client_deadline = self._number_field(payload, "deadline")
             if client_deadline is not None and client_deadline > 0:
@@ -515,7 +517,14 @@ class ServingServer:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise _JsonReply(400, {"error": f"'{key}' must be a number"})
-        return float(value)
+        # json accepts NaN/Infinity literals and integers past float range.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise _JsonReply(400, {"error": f"'{key}' must be a finite number"})
+        return number
 
     def _begin_request(self) -> None:
         with self._lifecycle:

@@ -15,8 +15,8 @@ Two measures drive CERES:
 Two Levenshtein implementations coexist:
 
 * :func:`levenshtein` — the classic pure-Python two-row DP over one pair,
-  with an optional early-exit ``limit``.  This is the reference
-  implementation and the equivalence oracle for the batched engine.
+  with an optional early-exit ``limit``.  Clustering uses it for single
+  pairs, and the tests check the batched engine against it.
 * :func:`levenshtein_matrix` — the vectorized engine: tokens are interned
   into small ints once (:func:`encode_token_sequences`), and the full
   pairwise distance matrix is produced by a numpy DP that advances all
@@ -179,8 +179,8 @@ def levenshtein_matrix(sequences: Sequence[Sequence]) -> np.ndarray:
     """Full pairwise Levenshtein distance matrix over ``sequences``.
 
     Tokens are interned once; pairs are processed in bounded chunks
-    through :func:`batched_levenshtein`.  Entries are exact: the matrix
-    equals ``pairwise_distance_matrix(sequences, levenshtein)``.
+    through :func:`batched_levenshtein`.  Entries are exact: each equals
+    :func:`levenshtein` of its pair.
     """
     n = len(sequences)
     matrix = np.zeros((n, n))

@@ -1,190 +1,91 @@
-"""Equivalence tests: vectorized annotation/training hot path vs. legacy.
+"""Equivalence tests for the vectorized annotation and training path.
 
-The vectorized engine (interned-XPath batched Levenshtein, SurfaceIndex
-mention gathering, bitset local evidence, batched feature-name rows, the
-deduplicated direct-``setulb`` L-BFGS solve) must reproduce the legacy
-pure-Python path byte for byte: same annotations, same model vocabulary
-and coefficients, same extractions — across the SWDE and IMDb fixtures
-and randomized DOMs.
+Annotations (interned-XPath batched Levenshtein, SurfaceIndex mention
+gathering, bitset local evidence) must match the digests in
+``tests/golden/annotation_digests.json``, which the pure-Python
+implementations wrote (see ``tests/annotation_goldens.py``).  Models
+(batched feature-name rows, the deduplicated direct-``setulb`` L-BFGS
+solve) must match the per-node chain of ``tests/reference_chain.py``
+bit for bit, on the installed numpy/scipy.
 """
-
-import random
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from annotation_goldens import (
+    FIXTURES,
+    duplication_kb_and_pages,
+    goldens,
+    imdb_fixture,
+    random_mention_sets,
+    result_digest,
+    swde_fixture,
+)
+from reference_chain import model_fingerprint, reference_fit, reference_train
 from repro.core.annotation.relation import RelationAnnotator
 from repro.core.annotation.topic import TopicIdentifier
 from repro.core.config import CeresConfig
 from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtractor
 from repro.core.pipeline import CeresPipeline
 from repro.datasets import generate_imdb, generate_swde, seed_kb_for
-from repro.dom.parser import parse_html
-from repro.kb.ontology import Ontology, Predicate
-from repro.kb.store import KnowledgeBase
 from repro.kb.surfaces import SurfaceIndex
-from repro.kb.triple import Entity, Value
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression
 
 
-def annotation_rows(result):
-    return [
-        (
-            page.page_index,
-            page.topic_entity_id,
-            page.topic_node.xpath,
-            annotation.predicate,
-            annotation.node.xpath,
-            annotation.object_key,
-            annotation.object_text,
-        )
-        for page in result.annotated_pages
-        for annotation in page.annotations
-    ]
+def assert_golden(fixture_id):
+    assert FIXTURES[fixture_id](False) == goldens()[fixture_id], fixture_id
 
 
-def model_fingerprint(result):
-    out = []
-    for cluster in result.cluster_results:
-        model = cluster.model
-        if model is None:
-            out.append(None)
-            continue
-        out.append(
-            (
-                sorted(model.vectorizer.vocabulary_.items()),
-                model.classifier.coef_.tobytes(),
-                model.classifier.intercept_.tobytes(),
-                list(model.classifier.classes_),
-                sorted(model.feature_extractor.frequent_strings),
-            )
-        )
-    return out
-
-
-def extraction_rows(result):
-    return [
-        (e.page_index, e.subject, e.predicate, e.object, e.confidence)
-        for e in result.extractions
-    ]
-
-
-def run_both(kb, documents, config=None):
+def assert_trains_like_reference_chain(kb, documents, config=None):
+    """Annotate and train, refit every cluster through the per-node
+    reference chain, and return the run."""
     config = config or CeresConfig()
-    fast_pipeline = CeresPipeline(kb, config)
-    fast = fast_pipeline.annotate(documents)
-    fast_pipeline.train(documents, fast)
-    fast_pipeline.extract(fast, documents)
-    legacy_pipeline = CeresPipeline(kb, config)
-    legacy = legacy_pipeline.legacy_annotate(documents)
-    legacy_pipeline.legacy_train(documents, legacy)
-    legacy_pipeline.extract(legacy, documents)
-    return fast, legacy
+    pipeline = CeresPipeline(kb, config)
+    result = pipeline.annotate(documents)
+    pipeline.train(documents, result)
+    per_cluster = pipeline.cluster_examples(result)
+    assert per_cluster  # non-degenerate
+    for cluster, examples in per_cluster:
+        reference = reference_train(examples, documents, config)
+        assert model_fingerprint(cluster.model) == model_fingerprint(reference)
+    return result
 
 
 class TestEndToEndEquivalence:
     def test_swde_byte_identical(self):
-        dataset = generate_swde("movie", n_sites=2, pages_per_site=24, seed=11)
-        kb = seed_kb_for(dataset, 11)
-        documents = [page.document for page in dataset.sites[1].pages]
-        fast, legacy = run_both(kb, documents)
-        assert annotation_rows(fast) == annotation_rows(legacy)
-        assert annotation_rows(fast)  # non-degenerate
-        assert model_fingerprint(fast) == model_fingerprint(legacy)
-        assert extraction_rows(fast) == extraction_rows(legacy)
-        assert extraction_rows(fast)
+        result = assert_trains_like_reference_chain(*swde_fixture())
+        assert result.annotated_pages
+        assert result_digest(result) == goldens()["swde"]
 
     def test_imdb_byte_identical(self):
-        dataset = generate_imdb(seed=3, n_films=20, n_people=10, n_episodes=4)
-        documents = [page.document for page in dataset.film_pages]
-        fast, legacy = run_both(dataset.kb, documents)
-        assert annotation_rows(fast) == annotation_rows(legacy)
-        assert model_fingerprint(fast) == model_fingerprint(legacy)
-        assert extraction_rows(fast) == extraction_rows(legacy)
+        result = assert_trains_like_reference_chain(*imdb_fixture())
+        assert result_digest(result) == goldens()["imdb"]
 
+    @pytest.mark.parametrize("fixture_id", ["scaled-swde-quick", "hazard-quick"])
+    def test_benchmark_fixtures_match_goldens(self, fixture_id):
+        """The annotation hot-path benchmark's fixtures at --quick size."""
+        assert_golden(fixture_id)
 
-def duplication_kb_and_pages(n_pages=10):
-    """Pages with duplicated genre/cast mentions (Examples 3.1-3.2)."""
-    ontology = Ontology(
-        [
-            Predicate("directed_by", range_kind="entity"),
-            Predicate("has_cast_member", range_kind="entity", multi_valued=True),
-            Predicate("genre", range_kind="string", multi_valued=True),
-        ]
-    )
-    kb = KnowledgeBase(ontology)
-    rng = random.Random(4)
-    genres = ["Drama", "Comedy", "Action"]
-    pages = []
-    for i in range(n_pages):
-        film = f"f{i}"
-        kb.add_entity(Entity(film, f"Feature Film {i} Story", "film"))
-        kb.add_entity(Entity(f"d{i}", f"Director Person {i}", "person"))
-        kb.add_fact(film, "directed_by", Value.entity(f"d{i}"))
-        page_genres = rng.sample(genres, 2)
-        for genre in page_genres:
-            kb.add_fact(film, "genre", Value.literal(genre))
-        for j in range(3):
-            kb.add_entity(Entity(f"a{i}_{j}", f"Actor Person {i} {j}", "person"))
-            kb.add_fact(film, "has_cast_member", Value.entity(f"a{i}_{j}"))
-        cast_items = "".join(
-            f"<li class='cast'>Actor Person {i} {j}</li>" for j in range(3)
-        )
-        genre_spans = "".join(f"<span>{g}</span>" for g in page_genres)
-        browse = "".join(f"<li class='bg'>{g}</li>" for g in genres)
-        html = (
-            f"<html><body><div class='main'>"
-            f"<h1>Feature Film {i} Story</h1>"
-            f"<div class='credit'><span>Director</span><span>Director Person {i}</span></div>"
-            f"<div class='genres'>{genre_spans}</div>"
-            f"<ul class='castlist'>{cast_items}</ul></div>"
-            f"<aside><ul class='all'>{browse}</ul></aside></body></html>"
-        )
-        pages.append(parse_html(html))
-    return kb, pages
+    def test_goldens_cover_every_fixture(self):
+        assert sorted(goldens()) == sorted(FIXTURES)
 
 
 class TestAnnotatorEquivalence:
     def test_duplicated_mentions_identical(self):
-        kb, pages = duplication_kb_and_pages()
-        config = CeresConfig()
-        identifier = TopicIdentifier(kb, config)
-        topics = identifier.identify(pages)
-        assert topics
-        annotator = RelationAnnotator(kb, config, identifier.matcher)
-        fast = annotator.annotate(pages, topics)
-        legacy = annotator.legacy_annotate(pages, topics)
-        fast_rows = [
-            (p.page_index, a.predicate, a.node.xpath, a.object_key)
-            for p in fast
-            for a in p.annotations
-        ]
-        legacy_rows = [
-            (p.page_index, a.predicate, a.node.xpath, a.object_key)
-            for p in legacy
-            for a in p.annotations
-        ]
-        assert fast_rows == legacy_rows
-        assert fast_rows
+        assert_golden("duplicated-mentions")
 
     def test_best_local_mentions_matches_legacy_on_random_doms(self):
-        rng = random.Random(9)
+        """Local evidence over seeded random mention sets chooses what the
+        frozenset-union implementation chose."""
+        assert_golden("random-doms")
         kb, pages = duplication_kb_and_pages(4)
         annotator = RelationAnnotator(kb, CeresConfig())
-        for document in pages:
-            fields = document.text_fields()
-            for _ in range(20):
-                k = rng.randint(2, min(5, len(fields)))
-                mentions = rng.sample(fields, k)
-                groups = [
-                    rng.sample(fields, rng.randint(1, 3))
-                    for _ in range(rng.randint(0, 4))
-                ]
-                assert annotator.best_local_mentions(
-                    mentions, groups
-                ) == annotator.legacy_best_local_mentions(mentions, groups)
+        chosen = [
+            annotator.best_local_mentions(*draw) for draw in random_mention_sets(pages)
+        ]
+        assert any(len(best) > 1 for best in chosen)  # ties are exercised
 
     def test_single_mention_short_circuit(self):
         kb, pages = duplication_kb_and_pages(2)
@@ -297,33 +198,30 @@ class TestFastFitEquivalence:
         y = np.random.RandomState(rng + 1).randint(0, k, X.shape[0])
         return X, y
 
+    @staticmethod
+    def assert_fits_like_reference(X, y, **params):
+        fast = SoftmaxRegression(**params).fit(X, y)
+        reference = reference_fit(X, y, **params)
+        assert np.array_equal(fast.classes_, reference.classes_)
+        assert np.array_equal(fast.coef_, reference.coef_)
+        assert np.array_equal(fast.intercept_, reference.intercept_)
+
     @pytest.mark.parametrize("c_value", [1.0, 2.5])
     def test_fast_equals_reference(self, c_value):
         for seed, (m, n, k) in enumerate([(40, 12, 3), (150, 30, 5), (9, 4, 2)]):
             X, y = self._random_problem(seed, m, n, k)
-            fast = SoftmaxRegression(C=c_value, max_iter=120).fit(X, y)
-            reference = SoftmaxRegression(C=c_value, max_iter=120).fit(
-                X, y, engine="reference"
-            )
-            assert np.array_equal(fast.coef_, reference.coef_)
-            assert np.array_equal(fast.intercept_, reference.intercept_)
+            self.assert_fits_like_reference(X, y, C=c_value, max_iter=120)
 
     def test_non_unit_data_values(self):
         """Rows with equal sparsity but different values must not collapse."""
         X, y = self._random_problem(2, 60, 10, 3, unit_data=False)
-        fast = SoftmaxRegression(max_iter=80).fit(X, y)
-        reference = SoftmaxRegression(max_iter=80).fit(X, y, engine="reference")
-        assert np.array_equal(fast.coef_, reference.coef_)
+        self.assert_fits_like_reference(X, y, max_iter=80)
 
     def test_single_class_degenerate(self):
         X = sp.csr_matrix(np.ones((4, 3)))
+        self.assert_fits_like_reference(X, ["only"] * 4)
         model = SoftmaxRegression().fit(X, ["only"] * 4)
         assert model.predict_proba(X).tolist() == [[1.0]] * 4
-
-    def test_unknown_engine_rejected(self):
-        X = sp.csr_matrix(np.ones((4, 3)))
-        with pytest.raises(ValueError):
-            SoftmaxRegression().fit(X, [0, 1, 0, 1], engine="nope")
 
 
 class TestMinPredicatePages:
@@ -368,17 +266,6 @@ class TestMinPredicatePages:
         assert over_low == {("genre", ("l", "Drama"))}
 
     def test_legacy_and_fast_share_the_floor(self):
-        kb, pages, identifier, topics = self._page_mentions_site(5)
-        config = CeresConfig(min_predicate_pages=2)
-        annotator = RelationAnnotator(kb, config, identifier.matcher)
-        fast = annotator.annotate(pages, topics)
-        legacy = annotator.legacy_annotate(pages, topics)
-        assert [
-            (p.page_index, a.predicate, a.node.xpath)
-            for p in fast
-            for a in p.annotations
-        ] == [
-            (p.page_index, a.predicate, a.node.xpath)
-            for p in legacy
-            for a in p.annotations
-        ]
+        """Annotations under ``min_predicate_pages=2`` match those the
+        pure-Python path wrote."""
+        assert_golden("min-predicate-pages")

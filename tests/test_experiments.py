@@ -161,8 +161,8 @@ class TestFigure4:
 class TestAnnotationEvidenceAblation:
     def test_evidence_orderings(self):
         """The local-only annotator overrides ``_choose_mention``; it
-        must take the ``best_local`` argument the annotator passes (a
-        missing one made the ablation raise ``TypeError``).  Orderings
+        must take the arguments the annotator passes (a signature that
+        fell behind made the ablation raise ``TypeError``).  Orderings
         as in ``bench_ablation_annotation_evidence.py``."""
         result = run_annotation_evidence_ablation(seed=0)
         all_mentions = result.scores["all-mentions (CERES-Topic)"]

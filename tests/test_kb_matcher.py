@@ -5,6 +5,7 @@ from repro.kb.matcher import PageMatcher
 from repro.kb.ontology import Ontology, Predicate
 from repro.kb.store import KnowledgeBase
 from repro.kb.triple import Entity, Value
+from repro.text.fuzzy import surface_variants
 
 
 def build_kb() -> KnowledgeBase:
@@ -63,18 +64,15 @@ class TestPageMatcher:
         h1_text = doc.text_fields()[0]
         assert match.entities_in_field(h1_text) == {"f1"}
 
-    def test_mentions_of_surfaces(self):
-        doc = parse_html(PAGE)
-        match = PageMatcher(build_kb()).match(doc)
-        mentions = match.mentions_of_surfaces(["Spike Lee"])
-        assert len(mentions) == 2
+    def test_mentions_of_variants_deduplicated(self):
+        """Two surfaces' variants, "spike lee" among both, find the two
+        "Spike Lee" fields each once, in XPath order."""
+        match = PageMatcher(build_kb()).match(parse_html(PAGE))
+        variants = [*surface_variants("Spike Lee"), *surface_variants("Lee, Spike")]
+        assert len(variants) > len(set(variants))
+        mentions = match.mentions_of_variants(variants)
         assert [m.text for m in mentions] == ["Spike Lee", "Spike Lee"]
-
-    def test_mentions_of_surfaces_variant_dedup(self):
-        doc = parse_html(PAGE)
-        match = PageMatcher(build_kb()).match(doc)
-        mentions = match.mentions_of_surfaces(["Spike Lee", "Lee, Spike"])
-        assert len(mentions) == 2
+        assert [m.xpath for m in mentions] == sorted(m.xpath for m in mentions)
 
     def test_page_entity_ids(self):
         match = PageMatcher(build_kb()).match(parse_html(PAGE))

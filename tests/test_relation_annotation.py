@@ -164,6 +164,45 @@ class TestInformativenessFilter:
         assert annotated == []  # but no page passes the filter
 
 
+    def test_over_represented_object_outside_dominant_region_dropped(self):
+        """Every film is a Drama, and a sidebar lists Drama on every page.
+        Page 0 shows Drama only there: its one mention is unambiguous
+        locally, but the object is over-represented and the mention sits
+        outside the dominant region (the info genres), so it is not
+        annotated (Section 5.5.1's all-genres hazard)."""
+        kb = build_kb()
+        pages = []
+        for i in range(8):
+            film = f"f{i}"
+            kb.add_entity(Entity(film, f"Feature Film {i} Story", "film"))
+            kb.add_entity(Entity(f"d{i}", f"Director Person {i}", "person"))
+            kb.add_fact(film, "directed_by", Value.entity(f"d{i}"))
+            for j in range(3):
+                kb.add_entity(Entity(f"a{i}_{j}", f"Actor Person {i} {j}", "person"))
+                kb.add_fact(film, "has_cast_member", Value.entity(f"a{i}_{j}"))
+            kb.add_fact(film, "genre", Value.literal("Drama"))
+            kb.add_fact(film, "genre", Value.literal(f"Style{i}"))
+            info_genres = f"<span>Style{i}</span>" + ("<span>Drama</span>" if i else "")
+            cast = "".join(f"<li>Actor Person {i} {j}</li>" for j in range(3))
+            pages.append(parse_html(
+                f"<html><body><div class='main'><h1>Feature Film {i} Story</h1>"
+                f"<div class='credit'><span>Director</span><span>Director Person {i}</span></div>"
+                f"<div class='genres'>{info_genres}</div><ul class='cast'>{cast}</ul></div>"
+                f"<aside><ul class='popular'><li>Drama</li></ul></aside></body></html>"
+            ))
+        annotated, _ = annotate(kb, pages)
+        dramas = {
+            page.page_index: a.node.xpath
+            for page in annotated
+            for a in page.annotations
+            if a.object_text == "Drama"
+        }
+        assert 0 in {page.page_index for page in annotated}
+        assert 0 not in dramas
+        assert set(dramas) == set(range(1, 8))
+        assert all("aside" not in xpath for xpath in dramas.values())
+
+
 class TestBestLocalMentions:
     def test_single_mention_trivial(self):
         kb, pages = spike_lee_site(2)

@@ -10,6 +10,8 @@ pooled execution.
 
 import io
 import json
+import re
+import shutil
 import threading
 import time
 
@@ -305,9 +307,11 @@ class TestRunJournal:
             journal.record_site("a", "running", fingerprint="f1")
             journal.record_site("a", "done", fingerprint="f1")
             journal.record_site("b", "running", fingerprint="f2")
+            journal.record_site("c\u2028d", "done", fingerprint="f3")
         states = RunJournal(tmp_path).open(config_hash=self.HASH, resume=True)
         assert states["a"]["state"] == "done"
         assert states["b"]["state"] == "running"
+        assert states["c\u2028d"]["state"] == "done"  # one record, not two lines
 
     def test_resume_rejects_config_mismatch(self, tmp_path):
         with RunJournal(tmp_path) as journal:
@@ -338,7 +342,10 @@ class TestRunJournal:
             RunJournal(tmp_path).open(config_hash=self.HASH, resume=True)
 
     def test_rows_round_trip_and_site_key_quoting(self, tmp_path):
-        rows = [{"site": "a/b:c", "confidence": 0.123456789012345}]
+        rows = [
+            {"site": "a/b:c", "confidence": 0.123456789012345},
+            {"site": "a/b:c", "object": "line\u2028separator, next\x85line"},
+        ]
         with RunJournal(tmp_path) as journal:
             journal.open(config_hash=self.HASH)
             path = journal.write_rows("a/b:c", rows)
@@ -762,7 +769,81 @@ class TestResumeEquivalence:
 # CLI
 
 
+def _insert_line(index: int, line: bytes):
+    def damage(lines):
+        lines.insert(index, line)
+        return index + 1
+
+    return damage
+
+
+def _replace_report(new_report):
+    def damage(lines):
+        index = next(i for i, line in enumerate(lines) if b'"report"' in line)
+        record = json.loads(lines[index])
+        record["report"] = new_report(record["report"])
+        lines[index] = json.dumps(record).encode()
+        return index + 1
+
+    return damage
+
+
+def _header_as_list(lines):
+    lines[0] = b'["run"]'
+    return 1
+
+
+#: Damages to a finished run's journal (a list of byte lines), each
+#: returning the 1-based line it damaged.
+JOURNAL_DAMAGES = {
+    "site-record-without-site": _insert_line(1, b'{"event": "site"}'),
+    "header-is-a-list": _header_as_list,
+    "report-not-an-object": _replace_report(lambda report: [report]),
+    "report-unknown-key": _replace_report(lambda report: {**report, "bogus": 1}),
+    "invalid-utf8": _insert_line(1, b'{"event": "note", "text": "\xff"}'),
+}
+
+
 class TestResilienceCLI:
+    @pytest.fixture(scope="class")
+    def finished_run(self, corpus_on_disk, tmp_path_factory):
+        from repro.__main__ import main
+
+        kb_path, corpus_dir, _ = corpus_on_disk
+        root = tmp_path_factory.mktemp("finished-run")
+        assert main([
+            "run-corpus", "--kb", str(kb_path), "--corpus", str(corpus_dir),
+            "--registry", str(root / "models"),
+            "--output", str(root / "triples.jsonl"),
+            "--workers", "1", "--run-dir", str(root / "run"),
+        ]) == 0
+        return root / "run"
+
+    @pytest.mark.parametrize(
+        "damage", list(JOURNAL_DAMAGES), ids=list(JOURNAL_DAMAGES)
+    )
+    def test_damaged_journal_record_named(
+        self, corpus_on_disk, finished_run, tmp_path, damage
+    ):
+        """--resume on a damaged journal is a usage error naming the
+        record's path:line, not a traceback or a bare codec message."""
+        from repro.__main__ import main
+
+        kb_path, corpus_dir, _ = corpus_on_disk
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        journal = run_dir / RunJournal.JOURNAL_NAME
+        lines = journal.read_bytes().splitlines()
+        line = JOURNAL_DAMAGES[damage](lines)
+        journal.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(SystemExit, match=re.escape(f"{journal}:{line}: ")):
+            main([
+                "run-corpus", "--kb", str(kb_path), "--corpus", str(corpus_dir),
+                "--registry", str(tmp_path / "models"),
+                "--output", str(tmp_path / "triples.jsonl"),
+                "--workers", "1", "--run-dir", str(run_dir), "--resume",
+            ])
+
     def test_resume_flag_requires_run_dir(self, corpus_on_disk, tmp_path):
         from repro.__main__ import main
 

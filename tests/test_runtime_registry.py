@@ -36,6 +36,39 @@ def registry(tmp_path):
     return ModelRegistry(tmp_path / "models")
 
 
+def _model(data):
+    return data["clusters"][0]["model"]
+
+
+def _classifier(data):
+    return _model(data)["classifier"]
+
+
+def _set_nan(data):
+    _classifier(data)["coef"][0][0] = float("nan")
+
+
+def _repeat_name(data):
+    names = _model(data)["vocabulary"]["site"]
+    names.append(names[0])
+
+
+#: Damages to a site artifact, each of which must fail its load.
+DAMAGES = {
+    "classifier-missing": lambda data: _model(data).pop("classifier"),
+    "coef-missing-a-row": lambda data: _classifier(data)["coef"].pop(),
+    "intercept-one-short": lambda data: _classifier(data)["intercept"].pop(),
+    "coef-null": lambda data: _classifier(data).update(coef=None),
+    "vocabulary-extra-name": lambda data: _model(data)["vocabulary"]["site"].append(
+        "zz|extra"
+    ),
+    "classes-one-short": lambda data: _classifier(data)["classes"].pop(),
+    "vocabulary-repeated-name": _repeat_name,
+    "nan-coefficient": _set_nan,
+    "clusters-object": lambda data: data.update(clusters={}),
+}
+
+
 def _extraction_rows(extractions):
     return [
         (e.page_index, e.subject, e.predicate, e.object, e.confidence)
@@ -233,6 +266,16 @@ class TestGlobalArtifact:
         assert json.dumps(original_rows) == json.dumps(loaded_rows)
         assert original_rows  # non-degenerate
 
+    def test_damaged_global_refused(self, global_model, registry):
+        """The global artifact's classifier passes the same load checks."""
+        model, _ = global_model
+        registry.save_global(model)
+        data = json.loads(registry.global_path.read_text())
+        data["classifier"]["intercept"].pop()
+        registry.global_path.write_text(json.dumps(data))
+        with pytest.raises(RegistryError, match="malformed"):
+            registry.load_global()
+
     def test_xfer_only_vocabulary(self, global_model, registry):
         model, _ = global_model
         registry.save_global(model)
@@ -313,11 +356,14 @@ class TestRegistryErrors:
         with pytest.raises(RegistryError, match="not a site-model"):
             registry.load("notamodel")
 
-    def test_truncated_structure(self, trained_site, registry):
+    @pytest.mark.parametrize("damage", list(DAMAGES), ids=list(DAMAGES))
+    def test_truncated_structure(self, trained_site, registry, damage):
+        """A damaged artifact is refused at load, not when it first scores
+        (or never, when it scores wrong)."""
         site, config, _, result = trained_site
         path = registry.save(SiteModel.from_result(site, config, result))
         data = json.loads(path.read_text())
-        del data["clusters"][0]["model"]["classifier"]
+        DAMAGES[damage](data)
         path.write_text(json.dumps(data))
         with pytest.raises(RegistryError, match="malformed"):
             registry.load(site)

@@ -1,9 +1,10 @@
-"""Equivalence tests: batched scoring vs. the legacy per-node path.
+"""Equivalence tests: batched scoring vs. the per-node reference chain.
 
 Batched scoring (CeresModel.score_pages over the interned rows of
 repro.core.extraction.features.FeatureNameBatcher) must reproduce the
-legacy chain (feature dicts → vectorizer → per-page matmul) to full
-float precision: same subjects, same predicates, same confidences,
+per-node chain of ``tests/reference_chain.py`` (feature dicts →
+vectorizer → predict_proba → the extractor's candidate assembly) to
+full float precision: same subjects, same predicates, same confidences,
 across the SWDE and IMDb fixtures, including pages with zero text
 fields, single-class models, and walker resets under cache pressure.
 """
@@ -11,6 +12,11 @@ fields, single-class models, and walker resets under cache pressure.
 import numpy as np
 import pytest
 
+from reference_chain import (
+    reference_page_candidates,
+    reference_pool_candidates,
+    reference_probabilities,
+)
 from repro.core.annotation.examples import TrainingExample
 from repro.core.config import CeresConfig
 from repro.core.extraction.extractor import CeresExtractor
@@ -21,10 +27,10 @@ from repro.dom.parser import parse_html
 from repro.kb.ontology import NAME_PREDICATE, OTHER_LABEL
 
 
-def assert_pages_identical(batched, legacy):
+def assert_pages_identical(batched, reference):
     """Full-precision equality of two PageCandidates lists."""
-    assert len(batched) == len(legacy)
-    for fast, slow in zip(batched, legacy):
+    assert len(batched) == len(reference)
+    for fast, slow in zip(batched, reference):
         assert fast.page_index == slow.page_index
         assert fast.subject == slow.subject
         assert fast.name_confidence == slow.name_confidence  # exact, not approx
@@ -37,18 +43,8 @@ def assert_pages_identical(batched, legacy):
             assert conf_f == conf_s  # exact, not approx
 
 
-def pool_vs_legacy(pool, documents):
-    batched = pool.candidates(documents)
-    legacy = []
-    for page_index, document in enumerate(documents):
-        extractor = pool.extractor_for(document)
-        if extractor is None:
-            from repro.core.extraction.extractor import PageCandidates
-
-            legacy.append(PageCandidates(page_index, None, 0.0, []))
-        else:
-            legacy.append(extractor.legacy_candidates_for_page(document, page_index))
-    return batched, legacy
+def pool_vs_reference(pool, documents):
+    return pool.candidates(documents), reference_pool_candidates(pool, documents)
 
 
 class TestSWDEEquivalence:
@@ -65,13 +61,13 @@ class TestSWDEEquivalence:
 
     def test_pool_candidates_identical(self, swde_pool_and_docs):
         pool, documents = swde_pool_and_docs
-        batched, legacy = pool_vs_legacy(pool, documents)
-        assert_pages_identical(batched, legacy)
+        batched, reference = pool_vs_reference(pool, documents)
+        assert_pages_identical(batched, reference)
 
     def test_extractions_identical(self, swde_pool_and_docs):
         pool, documents = swde_pool_and_docs
         threshold = CeresConfig().confidence_threshold
-        batched, legacy = pool_vs_legacy(pool, documents)
+        batched, reference = pool_vs_reference(pool, documents)
         fast_rows = [
             (e.subject, e.predicate, e.object, e.confidence, e.page_index)
             for page in batched
@@ -79,7 +75,7 @@ class TestSWDEEquivalence:
         ]
         slow_rows = [
             (e.subject, e.predicate, e.object, e.confidence, e.page_index)
-            for page in legacy
+            for page in reference
             for e in page.extractions(threshold)
         ]
         assert fast_rows == slow_rows
@@ -89,8 +85,8 @@ class TestSWDEEquivalence:
         pool, documents = swde_pool_and_docs
         empty = parse_html("<html><body><div class='x'></div></body></html>")
         mixed = [documents[0], empty, documents[1]]
-        batched, legacy = pool_vs_legacy(pool, mixed)
-        assert_pages_identical(batched, legacy)
+        batched, reference = pool_vs_reference(pool, mixed)
+        assert_pages_identical(batched, reference)
         assert batched[1].subject is None
         assert batched[1].candidates == []
 
@@ -99,14 +95,14 @@ class TestSWDEEquivalence:
         pool, _ = swde_pool_and_docs
         other = generate_swde("movie", n_sites=2, pages_per_site=6, seed=9)
         documents = [page.document for page in other.sites[1].pages]
-        batched, legacy = pool_vs_legacy(pool, documents)
-        assert_pages_identical(batched, legacy)
+        batched, reference = pool_vs_reference(pool, documents)
+        assert_pages_identical(batched, reference)
 
     def test_scores_survive_walker_resets(self, swde_pool_and_docs, monkeypatch):
         """With a bound of 2 nearly every row resets the walker's intern
         tables and the row columns resolved from them; scores across
         the fixture, unseen templates and the fixture again must still
-        match the oracle."""
+        match the reference chain."""
         import repro.core.extraction.features as features_module
 
         resets = []
@@ -124,8 +120,8 @@ class TestSWDEEquivalence:
         other = generate_swde("movie", n_sites=2, pages_per_site=6, seed=9)
         unseen = [page.document for page in other.sites[1].pages]
         for batch in (documents, unseen, documents):
-            batched, legacy = pool_vs_legacy(pool, batch)
-            assert_pages_identical(batched, legacy)
+            batched, reference = pool_vs_reference(pool, batch)
+            assert_pages_identical(batched, reference)
         assert len(resets) > len(documents)
 
 
@@ -138,8 +134,8 @@ class TestIMDbEquivalence:
         pool = pipeline.extractor_pool(result)
         if not pool:
             pytest.skip("fixture trained no cluster model")
-        batched, legacy = pool_vs_legacy(pool, documents)
-        assert_pages_identical(batched, legacy)
+        batched, reference = pool_vs_reference(pool, documents)
+        assert_pages_identical(batched, reference)
 
 
 def tiny_page(i: int) -> str:
@@ -166,7 +162,7 @@ class TestDirectModelEquivalence:
         extractor = CeresExtractor(model, CeresConfig())
         for page_index, doc in enumerate(docs):
             fast = extractor.candidates_for_page(doc, page_index)
-            slow = extractor.legacy_candidates_for_page(doc, page_index)
+            slow = reference_page_candidates(extractor, doc, page_index)
             assert_pages_identical([fast], [slow])
 
     def test_predict_proba_for_pages_matches_per_node(self):
@@ -187,7 +183,7 @@ class TestDirectModelEquivalence:
         batched = model.score_pages(docs)
         for doc, (_, fast) in zip(docs, batched):
             nodes = [n for n in doc.text_fields() if n.text.strip()]
-            slow = model.predict_proba_for_nodes(nodes, doc)
+            slow = reference_probabilities(model, nodes, doc)
             assert fast.shape == slow.shape
             assert np.array_equal(fast, slow)  # bitwise, not allclose
 
@@ -217,6 +213,6 @@ class TestDirectModelEquivalence:
         extractor = CeresExtractor(model, config)
         for page_index, doc in enumerate(docs):
             fast = extractor.candidates_for_page(doc, page_index)
-            slow = extractor.legacy_candidates_for_page(doc, page_index)
+            slow = reference_page_candidates(extractor, doc, page_index)
             assert_pages_identical([fast], [slow])
 

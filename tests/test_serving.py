@@ -415,6 +415,30 @@ class TestHttpServing:
         assert "JSON" in data["error"]
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("threshold", float("nan")),
+            ("threshold", float("inf")),
+            ("threshold", 2),
+            ("threshold", -1),
+            ("threshold", 10**400),
+            ("deadline", float("nan")),
+        ],
+        ids=[
+            "threshold-nan", "threshold-infinity", "threshold-2",
+            "threshold-negative", "threshold-past-float-range", "deadline-nan",
+        ],
+    )
+    def test_bad_number_field_400(self, serving, trained_world, field, value):
+        """json reads ``NaN``/``Infinity`` literals and integers past float
+        range: a field that is not a finite number, or a threshold outside
+        [0, 1], is the client's error, not a 200 without rows (or with
+        every candidate), nor a silently ignored deadline."""
+        status, data, _ = _post(serving.port, {**_request(trained_world), field: value})
+        assert status == 400
+        assert f"'{field}'" in data["error"]
+
+    @pytest.mark.parametrize(
         "serving, path, length, body, status",
         [
             ({}, "/extract", None, "", 411),

@@ -58,8 +58,8 @@ class TestTrainer:
 
     def test_predict_proba_shape(self):
         model, docs = build_model()
-        nodes = docs[0].text_fields()
-        probabilities = model.predict_proba_for_nodes(nodes, docs[0])
+        [(nodes, probabilities)] = model.score_pages(docs[:1])
+        assert nodes == docs[0].text_fields()
         assert probabilities.shape == (len(nodes), len(model.labels))
 
 
