@@ -145,7 +145,7 @@ _SERVING_HELP = {
     "host": "bind address",
     "port": "TCP port; 0 binds an ephemeral port",
     "max_body_bytes": "largest accepted request body, in bytes",
-    "workers": "batch worker threads",
+    "workers": "batch worker threads; each claims one site's batch, and one batch computes at a time",
     "max_queue_depth": "admission queue bound; a full queue sheds with 429 + Retry-After",
     "retry_after": "Retry-After hint on shed (429) and draining (503) responses",
     "request_deadline": "per-request budget, enqueue to response (504); also reading the body (408)",

@@ -42,7 +42,7 @@ annotates and classifies.
 ``parent`` points back at the element whose ``children`` hold it), so
 only the cyclic garbage collector can free it, and every full
 collection pays for walking it first.  A document has one owner — the
-serving tier's request handler, the corpus runner's site attempt — and
+serving tier's batch worker, the corpus runner's site attempt — and
 that owner calls :meth:`Document.release` once nothing will read the
 tree again.  Without its parent links the tree frees by reference
 counting the moment its last reference goes.  A released document

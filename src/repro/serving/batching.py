@@ -16,14 +16,17 @@ throughput:
 Batching: workers pull *all* queued requests for one ``(site,
 threshold)`` pair at once (up to ``batch_max_pages`` pages) so the
 scoring engine sees full batches even when every client sends one page.
-Requests for one site are mutually serialized — the underlying extractor
-pool and its caches are not thread-safe — but distinct sites proceed in
-parallel across workers.
+A claimed site stays claimed until its batch is answered, so one site's
+batches never overlap.  Claims are per site; the server computes one
+batch at a time across all workers (its *lane*, see
+:class:`~repro.serving.server.ServingServer`), so a second worker waits
+there, not here, while another site's batch computes.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 
 from repro.runtime.resilience import Deadline
@@ -44,15 +47,18 @@ OFFER_CLOSED = "closed"
 class PendingRequest:
     """One admitted ``/extract`` request, in flight between threads.
 
-    The *outcome* is an opaque tuple the server interprets; the queue
-    only guarantees the exactly-once handoff.
+    *pages* are the request's raw ``(html, url)`` pairs; the worker that
+    claims the request parses them.  The *outcome* is an opaque tuple
+    the server interprets; the queue only guarantees the exactly-once
+    handoff.
     """
 
     __slots__ = (
         "site",
-        "documents",
+        "pages",
         "threshold",
         "deadline",
+        "admitted",
         "outcome",
         "_lock",
         "_event",
@@ -62,14 +68,16 @@ class PendingRequest:
     def __init__(
         self,
         site: str,
-        documents: list,
+        pages: list[tuple[str, str]],
         threshold: float | None,
         deadline: Deadline,
     ) -> None:
         self.site = site
-        self.documents = documents
+        self.pages = pages
         self.threshold = threshold
         self.deadline = deadline
+        #: monotonic clock reading at admission (the queue wait's start).
+        self.admitted = time.monotonic()
         self.outcome = None
         self._lock = threading.Lock()
         self._event = threading.Event()
@@ -189,10 +197,10 @@ class AdmissionQueue:
             for request in self._pending:
                 if (
                     request.batch_key() == key
-                    and pages + len(request.documents) <= self._batch_max_pages
+                    and pages + len(request.pages) <= self._batch_max_pages
                 ):
                     batch.append(request)
-                    pages += len(request.documents)
+                    pages += len(request.pages)
                 else:
                     kept.append(request)
             if not batch:  # head alone exceeds the page cap: take just it

@@ -30,8 +30,11 @@ class ServingConfig:
     max_body_bytes: int = 16 << 20
 
     # --- admission / backpressure ---
-    #: Batch worker threads (cross-*site* parallelism; requests for one
-    #: site are serialized through its extractor pool).
+    #: Batch worker threads.  Each claims one site's batch; the server
+    #: computes (parses, scores, answers) one batch at a time across all
+    #: of them, so more workers buy no parallel compute.  A second worker
+    #: keeps other sites served while one is wedged before computing,
+    #: and holds its next batch claimed while the current one computes.
     workers: int = 2
     #: Bounded admission queue depth (requests).  A full queue sheds new
     #: work with 429 + ``Retry-After`` instead of queueing unboundedly.

@@ -20,14 +20,20 @@ than around the happy path.
 * **Cross-request micro-batching.**  Workers pull all queued requests
   for one ``(site, threshold)`` at once, so scoring sees full batches
   even from single-page clients.
+* **One batch computes at a time.**  Handler threads only read, decode
+  and validate; a worker parses, scores and builds rows while it holds
+  the server's one *lane* lock, so two batches never time-slice the
+  interpreter and a request finishes after its own batch, not after
+  every batch it overlapped.
 * **Graceful drain.**  SIGTERM stops admission (503 for new work),
   flushes everything already accepted, then exits 0.  Every accepted
   request is answered exactly once, drain or no drain.
 
-* **Documents free by refcount.**  The handler thread owns its
-  request's parsed documents and releases them
-  (:meth:`~repro.dom.parser.Document.release`) once no worker can read
-  them, so the cyclic collector never has to find a request's trees.
+* **Documents free by refcount.**  The worker that parses a batch owns
+  its documents and releases them
+  (:meth:`~repro.dom.parser.Document.release`) once the batch is
+  answered, forsaken requests' documents included, so the cyclic
+  collector never has to find a request's trees.
 
 Endpoints: ``POST /extract``, ``GET /healthz`` (process liveness),
 ``GET /readyz`` (admission state), ``GET /stats`` (queue, breakers,
@@ -40,6 +46,7 @@ import gc
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
@@ -162,11 +169,15 @@ class _Handler(BaseHTTPRequestHandler):
 class ServingServer:
     """Owns the HTTP listener, the admission queue, and the batch workers.
 
-    Thread model: one handler thread per connection (produces
-    :class:`PendingRequest`s and waits on them), ``config.workers``
-    batch workers (consume site batches), one acceptor thread running
-    ``serve_forever``, and — once drain starts — one drain thread.
-    ``_lifecycle`` guards the request gauge and the phase machine.
+    Thread model: one handler thread per connection (reads, decodes and
+    validates a request, admits a :class:`PendingRequest` and waits on
+    it), ``config.workers`` batch workers (claim site batches), one
+    acceptor thread running ``serve_forever``, and — once drain starts —
+    one drain thread.  ``_lifecycle`` guards the request gauge and the
+    phase machine.  ``_lane`` is held by the one worker that is
+    computing: parsing its batch's pages, scoring them and answering
+    its requests.  Everything CPU-bound runs in the lane, so batches
+    never share the interpreter lock with each other.
     """
 
     def __init__(self, service, config: ServingConfig | None = None) -> None:
@@ -194,6 +205,7 @@ class ServingServer:
             probes=self.config.breaker_probes,
         )
         self._lifecycle = threading.Condition()
+        self._lane = threading.Lock()
         self._phase = PHASE_READY
         self._inflight = 0
         self._workers: list[threading.Thread] = []
@@ -305,82 +317,71 @@ class ServingServer:
     # -- request path (handler threads) ------------------------------------
 
     def handle_extract(self, handler: _Handler):
-        """Admit, wait, and shape one ``/extract`` response.
+        """Validate, admit, wait, and shape one ``/extract`` response.
 
         Returns ``(status, payload, retry_after)``; raises
-        :class:`_JsonReply` for early-out responses.
-
-        The handler owns the request's documents and releases them on
-        the way out: after a refusal before admission, or once a worker
-        delivered the outcome (workers build every row before they
-        fulfill).  A 504 whose ``forsake()`` wins hands them to the
-        collector instead, because a worker may still be scoring them.
+        :class:`_JsonReply` for early-out responses.  The handler parses
+        no page: a worker does, in the lane (:meth:`_process_batch`).
         """
         payload = self._read_request(handler)
         site = payload.get("site")
         if not isinstance(site, str) or not site:
             raise _JsonReply(400, {"error": "body must carry a 'site' string"})
         fault_point("serving.handle", site=site)
-        documents = self._parse_pages(payload)
-        n_pages = len(documents)
-        registry = obs.metrics()
-        try:
-            threshold = self._number_field(payload, "threshold")
-            if threshold is not None and not 0.0 <= threshold <= 1.0:
-                raise _JsonReply(400, {"error": "'threshold' must be within [0, 1]"})
-            deadline_s = self.config.request_deadline
-            client_deadline = self._number_field(payload, "deadline")
-            if client_deadline is not None and client_deadline > 0:
-                deadline_s = min(deadline_s, client_deadline)
-            if self.phase != PHASE_READY:
-                raise _JsonReply(
-                    503,
-                    {"error": "server is draining", "category": "overload"},
-                    retry_after=self.config.retry_after,
-                )
-            request = PendingRequest(
-                site=site,
-                documents=documents,
-                threshold=threshold,
-                deadline=Deadline(deadline_s),
+        pages = self._page_list(payload)
+        threshold = self._number_field(payload, "threshold")
+        if threshold is not None and not 0.0 <= threshold <= 1.0:
+            raise _JsonReply(400, {"error": "'threshold' must be within [0, 1]"})
+        deadline_s = self.config.request_deadline
+        client_deadline = self._number_field(payload, "deadline")
+        if client_deadline is not None and client_deadline > 0:
+            deadline_s = min(deadline_s, client_deadline)
+        if self.phase != PHASE_READY:
+            raise _JsonReply(
+                503,
+                {"error": "server is draining", "category": "overload"},
+                retry_after=self.config.retry_after,
             )
-            verdict = self.queue.offer(request)
-            if verdict == OFFER_FULL:
-                registry.inc("serving.shed")
+        registry = obs.metrics()
+        request = PendingRequest(
+            site=site,
+            pages=pages,
+            threshold=threshold,
+            deadline=Deadline(deadline_s),
+        )
+        verdict = self.queue.offer(request)
+        if verdict == OFFER_FULL:
+            registry.inc("serving.shed")
+            raise _JsonReply(
+                429,
+                {"error": "admission queue is full", "category": "overload"},
+                retry_after=self.config.retry_after,
+            )
+        if verdict != OFFER_ACCEPTED:
+            raise _JsonReply(
+                503,
+                {"error": "server is draining", "category": "overload"},
+                retry_after=self.config.retry_after,
+            )
+        registry.inc("serving.accepted")
+        registry.observe("serving.queue_depth", self.queue.stats()["depth"])
+        self._begin_request()
+        try:
+            fulfilled = request.wait()
+            if not fulfilled and request.forsake():
+                registry.inc("serving.deadline_expired")
                 raise _JsonReply(
-                    429,
-                    {"error": "admission queue is full", "category": "overload"},
-                    retry_after=self.config.retry_after,
+                    504,
+                    {
+                        "error": (
+                            f"deadline of {deadline_s}s expired before "
+                            "a worker could answer"
+                        ),
+                        "category": "overload",
+                    },
                 )
-            if verdict != OFFER_ACCEPTED:
-                raise _JsonReply(
-                    503,
-                    {"error": "server is draining", "category": "overload"},
-                    retry_after=self.config.retry_after,
-                )
-            registry.inc("serving.accepted")
-            registry.observe("serving.queue_depth", self.queue.stats()["depth"])
-            self._begin_request()
-            try:
-                fulfilled = request.wait()
-                if not fulfilled and request.forsake():
-                    documents = []  # a worker may still be scoring them
-                    registry.inc("serving.deadline_expired")
-                    raise _JsonReply(
-                        504,
-                        {
-                            "error": (
-                                f"deadline of {deadline_s}s expired before "
-                                "a worker could answer"
-                            ),
-                            "category": "overload",
-                        },
-                    )
-            finally:
-                self._end_request()
         finally:
-            for document in documents:
-                document.release()
+            self._end_request()
         outcome = request.outcome
         registry.inc("serving.responses")
         if outcome[0] == "ok":
@@ -390,7 +391,7 @@ class ServingServer:
                 {
                     "site": site,
                     "model": model,
-                    "pages": n_pages,
+                    "pages": len(pages),
                     "extractions": len(rows),
                     "rows": rows,
                 },
@@ -403,18 +404,7 @@ class ServingServer:
         return status, {"error": message, "category": category}, retry_after
 
     def _read_request(self, handler: _Handler) -> dict:
-        try:
-            length = int(handler.headers.get("Content-Length", ""))
-        except ValueError:
-            handler.close_connection = True  # body never read
-            raise _JsonReply(
-                411, {"error": "Content-Length is required"}
-            ) from None
-        if length < 0:
-            handler.close_connection = True  # read(-1) would wait for EOF
-            raise _JsonReply(
-                400, {"error": f"Content-Length {length} is negative"}
-            )
+        length = self._content_length(handler)
         if length > self.config.max_body_bytes:
             handler.close_connection = True  # refuse to read the body
             raise _JsonReply(
@@ -464,51 +454,50 @@ class ServingServer:
             raise _JsonReply(400, {"error": "body must be a JSON object"})
         return payload
 
-    def _parse_pages(self, payload: dict) -> list:
+    @staticmethod
+    def _content_length(handler: _Handler) -> int:
+        """The body's length, from exactly one ``Content-Length`` of ASCII
+        digits.  Any other framing leaves where the body ends ambiguous:
+        it is refused and the connection closed, the body unread."""
+        headers = handler.headers
+        lengths = headers.get_all("Content-Length", [])
+        value = lengths[0].strip(" \t") if lengths else ""
+        if "Transfer-Encoding" in headers:
+            status, error = 400, "Transfer-Encoding is not supported"
+        elif not lengths:
+            status, error = 411, "Content-Length is required"
+        elif len(lengths) > 1:
+            status, error = 400, "Content-Length must appear exactly once"
+        elif not (value.isascii() and value.isdigit()):
+            # int() alone would take "+1", "1_0" and non-ASCII digits.
+            status, error = 400, f"Content-Length {value!r} is not a number"
+        else:
+            try:
+                return int(value)
+            except ValueError:  # past int()'s digit limit, so past any cap
+                status, error = 413, "Content-Length is too large"
+        handler.close_connection = True
+        raise _JsonReply(status, {"error": error})
+
+    @staticmethod
+    def _page_list(payload: dict) -> list[tuple[str, str]]:
+        """The request's ``(html, url)`` pairs, shape-checked (400)."""
         pages = payload.get("pages")
         if not isinstance(pages, list) or not pages:
             raise _JsonReply(
                 400, {"error": "body must carry a non-empty 'pages' list"}
             )
-        documents = []
-        try:
-            with obs.stage("stage.parse", pages=len(pages)) as stage:
-                for index, page in enumerate(pages):
-                    if not isinstance(page, dict) or not isinstance(
-                        page.get("html"), str
-                    ):
-                        raise _JsonReply(
-                            400,
-                            {"error": f"pages[{index}] must carry an 'html' string"},
-                        )
-                    try:
-                        documents.append(
-                            parse_html(
-                                page["html"],
-                                url=str(page.get("url", f"page-{index}")),
-                                max_depth=self._max_parse_depth,
-                                max_nodes=self._max_parse_nodes,
-                            )
-                        )
-                    except (ParseLimitError, MarkedSectionError) as exc:
-                        obs.metrics().inc("serving.parse_rejected")
-                        raise _JsonReply(
-                            422,
-                            {
-                                "error": f"pages[{index}]: {exc}",
-                                "category": "permanent",
-                            },
-                        ) from None
-                if obs.tracing_enabled():
-                    stage.set(bytes=sum(
-                        len(page["html"].encode("utf-8", "surrogatepass"))
-                        for page in pages
-                    ))
-        except _JsonReply:
-            for document in documents:  # the pages before the refused one
-                document.release()
-            raise
-        return documents
+        listed = []
+        for index, page in enumerate(pages):
+            if not isinstance(page, dict) or not isinstance(
+                page.get("html"), str
+            ):
+                raise _JsonReply(
+                    400,
+                    {"error": f"pages[{index}] must carry an 'html' string"},
+                )
+            listed.append((page["html"], str(page.get("url", f"page-{index}"))))
+        return listed
 
     @staticmethod
     def _number_field(payload: dict, key: str) -> float | None:
@@ -570,44 +559,18 @@ class ServingServer:
 
     def _process_batch(self, site: str, batch: list) -> None:
         registry = obs.metrics()
-        live = []
-        for request in batch:
-            if request.deadline.expired():
-                if request.fulfill(
-                    (
-                        "error",
-                        504,
-                        "request expired while queued",
-                        "overload",
-                    )
-                ):
-                    registry.inc("serving.deadline_expired_queued")
-            else:
-                live.append(request)
-        if not live:
-            return
-        threshold = live[0].threshold
-        merged: list = []
-        offsets: list[int] = []
-        for request in live:
-            offsets.append(len(merged))
-            merged.extend(request.documents)
-        registry.inc("serving.batches")
-        registry.observe("serving.batch_pages", len(merged))
         breaker = self.breakers.for_site(site)
         route = breaker.route()
-        if route == "primary":
-            try:
-                with obs.span(
-                    "serving.batch", site=site, pages=len(merged),
-                    route="primary",
-                ):
-                    fault_point("serving.batch", site=site)
-                    extractions = self.service.extract_pages(
-                        site, merged, threshold
-                    )
-            except Exception as exc:
-                category = classify_error(exc)
+        try:
+            if route == "primary":
+                # Before the lane: an injected hang wedges this worker,
+                # as one stuck before computing would, and no other.
+                fault_point("serving.batch", site=site)
+            with self._lane:
+                computed = self._compute_batch(site, batch, route)
+        except Exception as exc:
+            category = classify_error(exc)
+            if route == "primary":
                 if breaker.record_failure(category):
                     registry.inc("serving.breaker_opened")
                 registry.inc(f"serving.errors_{category}")
@@ -617,43 +580,125 @@ class ServingServer:
                     f"{type(exc).__name__}: {exc}",
                     category,
                 )
-                for request in live:
-                    request.fulfill(outcome)
-                return
-            breaker.record_success()
-            registry.inc("serving.primary_requests", len(live))
-            # The primary route still serves zero-shot when the service
-            # has --transfer-fallback on and no model for this site.
-            label = (
-                "site" if self.service.has_site_model(site) else "transfer"
-            )
-            self._fulfill_split(live, offsets, merged, extractions, site, label)
-            return
-        try:
-            with obs.span(
-                "serving.batch", site=site, pages=len(merged),
-                route="fallback",
-            ):
-                extractions = self.service.extract_pages_transfer(
-                    site, merged, threshold
+            else:
+                registry.inc(f"serving.fallback_errors_{category}")
+                outcome = (
+                    "error",
+                    503,
+                    (
+                        f"circuit breaker open for {site!r} and the zero-shot "
+                        f"fallback failed: {type(exc).__name__}: {exc}"
+                    ),
+                    "overload",
                 )
-        except Exception as exc:
-            category = classify_error(exc)
-            registry.inc(f"serving.fallback_errors_{category}")
-            outcome = (
-                "error",
-                503,
-                (
-                    f"circuit breaker open for {site!r} and the zero-shot "
-                    f"fallback failed: {type(exc).__name__}: {exc}"
-                ),
-                "overload",
-            )
-            for request in live:
+            for request in batch:  # answered ones (504, 422) stay answered
                 request.fulfill(outcome)
             return
-        registry.inc("serving.fallback_requests", len(live))
-        self._fulfill_split(live, offsets, merged, extractions, site, "transfer")
+        if route != "primary":
+            return
+        if computed:
+            breaker.record_success()
+        else:
+            # Every request expired or was refused before scoring.  A
+            # non-permanent report never counts, and it hands back a
+            # half-open breaker's probe slot, which nothing exercised.
+            breaker.record_failure("overload")
+
+    def _compute_batch(self, site: str, batch: list, route: str) -> bool:
+        """Parse, score and answer *batch* (called holding the lane).
+
+        Returns False when no request was left to score.  The documents
+        parsed here are released before returning, whatever happened:
+        a request forsaken at its deadline no longer reads them.
+        """
+        registry = obs.metrics()
+        live: list = []
+        merged: list = []
+        offsets: list[int] = []
+        try:
+            with obs.span("serving.batch", site=site, route=route) as span:
+                now = time.monotonic()
+                for request in batch:
+                    if request.deadline.expired():
+                        if request.fulfill(
+                            (
+                                "error",
+                                504,
+                                "request expired while queued",
+                                "overload",
+                            )
+                        ):
+                            registry.inc("serving.deadline_expired_queued")
+                        continue
+                    registry.observe(
+                        "serving.queue_wait_seconds", now - request.admitted
+                    )
+                    documents = self._parse_pages(request)
+                    if documents is not None:
+                        live.append(request)
+                        offsets.append(len(merged))
+                        merged.extend(documents)
+                if not live:
+                    return False
+                span.set(pages=len(merged))
+                registry.inc("serving.batches")
+                registry.observe("serving.batch_pages", len(merged))
+                threshold = live[0].threshold
+                if route == "primary":
+                    extractions = self.service.extract_pages(
+                        site, merged, threshold
+                    )
+                    registry.inc("serving.primary_requests", len(live))
+                    # The primary route still serves zero-shot when the
+                    # service has --transfer-fallback on and no model for
+                    # this site.
+                    label = (
+                        "site" if self.service.has_site_model(site)
+                        else "transfer"
+                    )
+                else:
+                    extractions = self.service.extract_pages_transfer(
+                        site, merged, threshold
+                    )
+                    registry.inc("serving.fallback_requests", len(live))
+                    label = "transfer"
+                self._fulfill_split(
+                    live, offsets, merged, extractions, site, label
+                )
+                return True
+        finally:
+            for document in merged:
+                document.release()
+
+    def _parse_pages(self, request: PendingRequest) -> list | None:
+        """*request*'s pages as documents, or None once a page the parser
+        refuses has answered the request 422."""
+        documents = []
+        with obs.stage("stage.parse", pages=len(request.pages)) as stage:
+            for index, (html, url) in enumerate(request.pages):
+                try:
+                    documents.append(
+                        parse_html(
+                            html,
+                            url=url,
+                            max_depth=self._max_parse_depth,
+                            max_nodes=self._max_parse_nodes,
+                        )
+                    )
+                except (ParseLimitError, MarkedSectionError) as exc:
+                    obs.metrics().inc("serving.parse_rejected")
+                    request.fulfill(
+                        ("error", 422, f"pages[{index}]: {exc}", "permanent")
+                    )
+                    for document in documents:  # the pages before it
+                        document.release()
+                    return None
+            if obs.tracing_enabled():
+                stage.set(bytes=sum(
+                    len(html.encode("utf-8", "surrogatepass"))
+                    for html, _ in request.pages
+                ))
+        return documents
 
     @staticmethod
     def _fulfill_split(

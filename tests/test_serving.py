@@ -11,6 +11,7 @@ import gc
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -101,6 +102,28 @@ def serving(request, service):
     yield server
     server.stop(timeout=10)
     obs.disable()
+
+
+@pytest.fixture()
+def zero_shot_serving(request, trained_world):
+    """Like ``serving``, over a ``--transfer-fallback`` service (a site
+    without a model is served zero-shot) and with tracing on; yields the
+    server and its tracer."""
+    service = ExtractionService(transfer_fallback=True)
+    service.add_site_model(trained_world["site_model"])
+    service.set_global_model(trained_world["global_model"])
+    knobs = dict(port=0, workers=2, request_deadline=10.0, drain_timeout=2.0)
+    knobs.update(getattr(request, "param", {}))
+    tracer, _ = obs.enable(tracing=True, metrics=True)
+    server = ServingServer(service, ServingConfig(**knobs))
+    server.start()
+    yield server, tracer
+    server.stop(timeout=10)
+    obs.disable()
+
+
+#: A site no registry holds: ``zero_shot_serving`` serves it zero-shot.
+UNSEEN_SITE = "never-seen.example"
 
 
 def _post(port, payload, timeout=30):
@@ -247,10 +270,10 @@ class TestCircuitBreaker:
 # admission queue (unit)
 
 
-def _pending(site, n_docs=1, threshold=None, seconds=None):
+def _pending(site, n_pages=1, threshold=None, seconds=None):
     return PendingRequest(
         site=site,
-        documents=[object()] * n_docs,
+        pages=[("<p>x</p>", "p")] * n_pages,
         threshold=threshold,
         deadline=Deadline(seconds),
     )
@@ -471,6 +494,38 @@ class TestHttpServing:
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
 
     @pytest.mark.parametrize(
+        "framing",
+        [
+            lambda n: f"Content-Length: {n[:-1]}_{n[-1]}",
+            lambda n: f"Content-Length: +{n}",
+            lambda n: f"Content-Length: {n}\r\nContent-Length: {n}",
+            lambda n: f"Transfer-Encoding: chunked\r\nContent-Length: {n}",
+        ],
+        ids=["underscore", "plus-sign", "repeated", "chunked-with-length"],
+    )
+    def test_ambiguous_framing_answered_400_then_closed(
+        self, serving, trained_world, framing
+    ):
+        """A well-formed request under framing that ``int()`` of the
+        first ``Content-Length`` would accept is refused: 400, then the
+        connection closes with the body unread."""
+        body = json.dumps(_request(trained_world)).encode()
+        head = (
+            "POST /extract HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n"
+            f"{framing(str(len(body)))}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", serving.port), timeout=1.0
+        ) as conn:
+            conn.sendall(head.encode() + body)
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0]
+        assert head.split(b" ", 2)[1] == b"400"
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+
+    @pytest.mark.parametrize(
         "serving", [dict(request_deadline=0.5)], indirect=True
     )
     def test_trickled_body_answered_408_within_the_deadline(self, serving):
@@ -670,25 +725,16 @@ class TestHttpServing:
         assert counters["serving.fallback_requests"] == 1
 
     def test_service_level_transfer_fallback_labels_response(
-        self, trained_world
+        self, zero_shot_serving, trained_world
     ):
         """An unseen site served zero-shot by a --transfer-fallback
         service must say model="transfer" at the top level too, even
         though it went down the breaker's primary route."""
-        service = ExtractionService(transfer_fallback=True)
-        service.add_site_model(trained_world["site_model"])
-        service.set_global_model(trained_world["global_model"])
-        obs.enable(tracing=False, metrics=True)
-        server = ServingServer(service, ServingConfig(port=0, workers=1))
-        server.start()
-        try:
-            status, data, _ = _post(server.port, {
-                "site": "never-seen.example",
-                "pages": [{"html": trained_world["html"][0], "url": "p0"}],
-            })
-        finally:
-            server.stop()
-            obs.disable()
+        server, _ = zero_shot_serving
+        status, data, _ = _post(server.port, {
+            "site": UNSEEN_SITE,
+            "pages": [{"html": trained_world["html"][0], "url": "p0"}],
+        })
         assert status == 200
         assert data["model"] == "transfer"
         assert all(row["model"] == "transfer" for row in data["rows"])
@@ -770,6 +816,218 @@ class TestHttpServing:
         assert counters["serving.batches"] < 4
 
 
+def _assert_one_batch_at_a_time(spans):
+    """Every page was parsed inside a worker's ``serving.batch`` span,
+    and no two of those spans overlap."""
+    names = {span["span_id"]: span["name"] for span in spans}
+    assert {
+        names.get(span["parent_id"])
+        for span in spans if span["name"] == "stage.parse"
+    } == {"serving.batch"}
+    roots = sorted(
+        (span for span in spans if span["parent_id"] is None),
+        key=lambda span: span["start"],
+    )
+    assert {span["name"] for span in roots} == {"serving.batch"}
+    for earlier, later in zip(roots, roots[1:]):
+        # start is wall-clock, duration perf_counter: allow 1 ms.
+        ended = earlier["start"] + earlier["duration"]
+        assert later["start"] >= ended - 1e-3, (earlier, later)
+
+
+class TestLane:
+    """Handlers only read, decode and validate; workers parse, score and
+    answer one batch at a time, holding the server's lane."""
+
+    def test_batches_compute_one_at_a_time(
+        self, zero_shot_serving, trained_world
+    ):
+        """Concurrent requests for a trained and a zero-shot site, with a
+        worker free for each: every page is parsed inside a worker's
+        ``serving.batch`` span, and no two of those spans overlap."""
+        server, tracer = zero_shot_serving
+        statuses = []
+
+        def one(index):
+            site = trained_world["site"] if index % 2 else UNSEEN_SITE
+            payload = dict(_request(trained_world, n_pages=4), site=site)
+            statuses.append(_post(server.port, payload)[0])
+
+        threads = [threading.Thread(target=one, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert statuses == [200] * 8
+        _assert_one_batch_at_a_time(tracer.export())
+
+    @pytest.mark.parametrize("zero_shot_serving", [dict(workers=4)], indirect=True)
+    def test_shared_global_model_under_contention(
+        self, zero_shot_serving, trained_world
+    ):
+        """More workers than cores, three zero-shot sites sharing the
+        global model's one feature-row walker, and a tiny switch
+        interval: batches still compute one at a time, and every request
+        gets the rows it gets alone."""
+        server, tracer = zero_shot_serving
+        sites = [trained_world["site"], "unseen-a.example", "unseen-b.example",
+                 "unseen-c.example"]
+        pages = _request(trained_world, n_pages=12)["pages"]
+        payloads = [
+            {"site": site, "pages": pages[start::3]}
+            for site in sites for start in range(3)
+        ]
+        alone = [_post(server.port, payload)[1]["rows"] for payload in payloads]
+        together = [None] * len(payloads)
+
+        def one(index):
+            together[index] = _post(server.port, payloads[index])[1]["rows"]
+
+        threads = [threading.Thread(target=one, args=(i,)) for i in range(len(payloads))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == alone
+        _assert_one_batch_at_a_time(tracer.export())
+
+    def test_a_hung_batch_leaves_other_sites_served(
+        self, zero_shot_serving, trained_world
+    ):
+        """The ``serving.batch`` fault point fires before the lane: a
+        worker wedged there holds no lane, and the other worker serves
+        another site meanwhile."""
+        server, _ = zero_shot_serving
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    "serving.batch", site=trained_world["site"],
+                    action="hang", delay=2.0, times=1,
+                )
+            ]
+        )
+        wedged = []
+        with active(plan):
+            thread = threading.Thread(
+                target=lambda: wedged.append(
+                    _post(server.port, _request(trained_world))
+                )
+            )
+            thread.start()
+            time.sleep(0.3)  # a worker claims it and hangs
+            started = time.monotonic()
+            status, data, _ = _post(
+                server.port, dict(_request(trained_world), site=UNSEEN_SITE)
+            )
+            elapsed = time.monotonic() - started
+            thread.join()
+        assert (status, data["model"]) == (200, "transfer")
+        assert elapsed < 1.5, elapsed
+        assert wedged[0][0] == 200
+
+    @pytest.mark.parametrize(
+        "serving", [dict(workers=1, max_parse_nodes=2000)], indirect=True
+    )
+    def test_parse_refusal_answers_only_its_own_request(
+        self, serving, trained_world
+    ):
+        """Two requests merged into one batch: the one whose page breaks
+        ``max_parse_nodes`` is answered 422 without touching the breaker;
+        the other is answered 200 with the rows it gets alone."""
+        tracer, _ = obs.enable(tracing=True, metrics=True)
+        site = trained_world["site"]
+        html = trained_world["html"]
+        good = {
+            "site": site,
+            "pages": [{"html": html[1], "url": "g1"}, {"html": html[2], "url": "g2"}],
+        }
+        bomb = {
+            "site": site,
+            "pages": [{"html": html[3], "url": "b3"}, {"html": "<p>x</p>" * 3000}],
+        }
+        plan = FaultPlan(
+            [FaultSpec("serving.batch", site=site, action="hang", delay=1.0, times=1)]
+        )
+        results = {}
+
+        def fire(name, payload):
+            results[name] = _post(serving.port, payload)
+
+        with active(plan):
+            threads = []
+            for name, payload in (
+                ("held", _request(trained_world)), ("good", good), ("bomb", bomb)
+            ):
+                threads.append(threading.Thread(target=fire, args=(name, payload)))
+                threads[-1].start()
+                time.sleep(0.3)  # the worker claims "held" and hangs
+            for thread in threads:
+                thread.join()
+        status, data, _ = results["bomb"]
+        assert (status, data["category"]) == (422, "permanent")
+        assert data["error"].startswith("pages[1]: ")
+        assert results["held"][0] == results["good"][0] == 200
+        spans = tracer.export()
+        parses_per_batch = sorted(
+            sum(
+                1 for child in spans
+                if child["name"] == "stage.parse"
+                and child["parent_id"] == span["span_id"]
+            )
+            for span in spans if span["name"] == "serving.batch"
+        )
+        assert parses_per_batch == [1, 2]  # "good" and "bomb" merged
+        status, alone, _ = _post(serving.port, good)
+        assert status == 200
+        assert results["good"][1]["rows"] == alone["rows"]
+        counters = serving.stats_payload()["metrics"]["counters"]
+        assert counters["serving.parse_rejected"] == 1
+        assert counters["serving.accepted"] == counters["serving.responses"] == 4
+        breaker = serving.breakers.for_site(site).snapshot()
+        assert (breaker["phase"], breaker["consecutive_failures"]) == (CLOSED, 0)
+
+    @pytest.mark.parametrize("serving", [dict(workers=1)], indirect=True)
+    def test_queue_wait_observed_per_request_the_worker_ran(
+        self, serving, trained_world
+    ):
+        """``serving.queue_wait_seconds`` observes admission to lane once
+        per request a worker ran; a request that expired in the queue
+        never ran."""
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    "serving.batch", site=trained_world["site"],
+                    action="hang", delay=0.5, times=1,
+                )
+            ]
+        )
+        with active(plan):
+            held = threading.Thread(
+                target=_post, args=(serving.port, _request(trained_world))
+            )
+            held.start()
+            time.sleep(0.2)  # the worker claims it and hangs
+            expiring = dict(_request(trained_world), deadline=0.1)
+            assert _post(serving.port, expiring)[0] == 504
+            held.join()
+        for _ in range(2):
+            assert _post(serving.port, _request(trained_world))[0] == 200
+        assert serving.queue.wait_idle(10.0)
+        status, stats = _get(serving.port, "/stats")
+        assert status == 200
+        counters = stats["metrics"]["counters"]
+        waits = stats["metrics"]["histograms"]["serving.queue_wait_seconds"]
+        assert counters["serving.accepted"] == 4
+        assert waits["count"] == counters["serving.primary_requests"] == 3
+        assert waits["max"] >= 0.45  # the held request waited out the hang
+
+
 def _live_dom_nodes() -> int:
     return sum(
         1 for obj in gc.get_objects() if isinstance(obj, (ElementNode, TextNode))
@@ -787,8 +1045,9 @@ def _tree_size(html: str) -> int:
 
 
 class TestDocumentOwnership:
-    """The handler releases its request's documents once no worker can
-    read them, so the trees free by refcount, not by the collector."""
+    """The worker that parses a batch releases its documents once the
+    batch is answered, so the trees free by refcount, not by the
+    collector."""
 
     def test_sequential_requests_leave_one_requests_worth_of_nodes(
         self, serving, trained_world
@@ -820,13 +1079,13 @@ class TestDocumentOwnership:
     @pytest.mark.parametrize(
         "serving", [dict(workers=1, request_deadline=0.3)], indirect=True
     )
-    def test_forsaken_request_leaves_its_documents_to_the_late_worker(
-        self, serving, trained_world, monkeypatch
+    def test_no_document_outlives_its_batch(
+        self, serving, service, trained_world, monkeypatch
     ):
-        """A 504 whose ``forsake()`` wins keeps its documents: the wedged
-        worker still scores them once the hang ends, finishes without
-        error, and the breaker records no failure.  An answered
-        request's documents are released."""
+        """A request forsaken at its deadline while its batch scores is
+        answered 504 by its handler; the worker still finishes the batch
+        without error, and releases the documents it parsed, as it does
+        an answered request's."""
         parsed = []
 
         def recording_parse(*args, **kwargs):
@@ -834,18 +1093,24 @@ class TestDocumentOwnership:
             parsed.append(document)
             return document
 
+        extract = service.extract_pages
+        slow = threading.Event()
+        slow.set()
+
+        def slow_once(*args, **kwargs):
+            if slow.is_set():
+                slow.clear()
+                time.sleep(0.6)  # past the 0.3 s deadline, pages parsed
+            return extract(*args, **kwargs)
+
         monkeypatch.setattr(server_module, "parse_html", recording_parse)
+        monkeypatch.setattr(service, "extract_pages", slow_once)
         site = trained_world["site"]
-        plan = FaultPlan(
-            [FaultSpec("serving.batch", site=site, action="hang", delay=1.0, times=1)]
-        )
-        with active(plan):
-            status, _, _ = _post(serving.port, _request(trained_world, n_pages=2))
-            assert status == 504
-            forsaken = list(parsed)
-            assert serving.queue.wait_idle(10.0)  # the late worker is done
-        assert len(forsaken) == 2
-        assert all(document.root is not None for document in forsaken)
+        status, _, _ = _post(serving.port, _request(trained_world, n_pages=2))
+        assert status == 504
+        assert serving.queue.wait_idle(10.0)  # the late worker is done
+        assert len(parsed) == 2
+        assert all(document.root is None for document in parsed)
         counters = serving.stats_payload()["metrics"]["counters"]
         assert counters["serving.deadline_expired"] == 1
         assert counters["serving.primary_requests"] == 1
@@ -855,9 +1120,9 @@ class TestDocumentOwnership:
 
         status, _, _ = _post(serving.port, _request(trained_world, n_pages=2))
         assert status == 200
-        answered = parsed[len(forsaken):]
-        assert len(answered) == 2
-        assert all(document.root is None for document in answered)
+        assert serving.queue.wait_idle(10.0)
+        assert len(parsed) == 4
+        assert all(document.root is None for document in parsed)
 
 
 class TestDrain:
