@@ -10,8 +10,10 @@ scipy; the models' floats are compared at test time against
 ``reference_chain`` instead.  The fixtures are the SWDE and IMDb sets,
 the annotation hot-path benchmark's scaled SWDE and all-genres
 hazard fixtures at ``--quick`` size, the duplicated-mention and
-``min_predicate_pages`` sites, and local evidence over seeded random
-mention sets (a digest of the chosen mentions' XPaths).
+``min_predicate_pages`` sites, local evidence over seeded random
+mention sets (a digest of the chosen mentions' XPaths), and the
+cross-site global model's vocabulary (names and columns), classes and
+predicates.
 
 The digests were written on the tree that still carried the
 pure-Python oracles (``legacy_annotate``, ``legacy_train``,
@@ -39,6 +41,7 @@ from repro.dom.parser import parse_html
 from repro.kb.ontology import Ontology, Predicate
 from repro.kb.store import KnowledgeBase
 from repro.kb.triple import Entity, Value
+from repro.transfer import collect_site_examples, train_global
 
 GOLDEN = Path(__file__).parent / "golden" / "annotation_digests.json"
 
@@ -99,6 +102,18 @@ def result_digest(result) -> str:
     return _digest([annotation_rows(result.annotated_pages), models])
 
 
+def global_model_digest(model) -> str:
+    """Digest of a global model's name space: vocabulary, classes and
+    the predicates its overlap features read."""
+    return _digest(
+        [
+            sorted(model.vectorizer.vocabulary_.items()),
+            [str(label) for label in model.classifier.classes_],
+            list(model.feature_extractor.predicates),
+        ]
+    )
+
+
 # -- fixtures ----------------------------------------------------------------
 
 
@@ -114,6 +129,19 @@ def scaled_swde_fixture(n_pages: int):
     with a match cache that holds the whole cluster."""
     kb, documents = swde_fixture(n_pages)
     return kb, documents, CeresConfig(page_match_cache_size=max(1024, 2 * n_pages))
+
+
+def global_fixture():
+    """SWDE movie sites 0-2 of a seed-7 set of four, the held-out site 3's
+    pages and the config: the cross-site global model's training set."""
+    dataset = generate_swde("movie", n_sites=4, pages_per_site=12, seed=7)
+    kb = seed_kb_for(dataset, 7)
+    config = CeresConfig()
+    pools = [
+        collect_site_examples(site.name, kb, site.documents(), config)
+        for site in dataset.sites[:3]
+    ]
+    return pools, kb.ontology.names(), dataset.sites[3].documents(), config
 
 
 def imdb_fixture():
@@ -274,6 +302,11 @@ def _random_doms_digest(legacy):
     return _digest(chosen)
 
 
+def _global_model_digest():
+    pools, predicates, _, config = global_fixture()
+    return global_model_digest(train_global(pools, predicates, config))
+
+
 #: fixture id -> digest through the current path (or the legacy oracle).
 FIXTURES = {
     "swde": lambda legacy: _pipeline_digest(*swde_fixture(), CeresConfig(), legacy),
@@ -293,6 +326,7 @@ FIXTURES = {
         *duplication_kb_and_pages(5), CeresConfig(min_predicate_pages=2), legacy
     ),
     "random-doms": _random_doms_digest,
+    "global-model": lambda legacy: _global_model_digest(),
 }
 
 

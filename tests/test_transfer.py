@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from annotation_goldens import global_fixture, global_model_digest, goldens
 from repro import obs
 from repro.core.config import CeresConfig
 from repro.core.pipeline import CeresPipeline
@@ -319,6 +320,13 @@ class TestDeletedArtifact:
 
 
 class TestGlobalTraining:
+    def test_global_model_matches_golden(self):
+        """The global model's vocabulary, classes and predicates match
+        the ``global-model`` annotation golden."""
+        pools, predicates, _, config = global_fixture()
+        model = train_global(pools, predicates, config)
+        assert global_model_digest(model) == goldens()["global-model"]
+
     def test_fit_refuses_samples_of_other_predicates(self, swde):
         """Predicate names parameterize the overlap features, so samples
         featurized with different ones cannot share one model."""
