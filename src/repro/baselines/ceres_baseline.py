@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import CeresConfig
 from repro.core.extraction.extractor import Extraction
-from repro.core.extraction.features import NodeFeatureExtractor
+from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtractor
 from repro.dom.node import TextNode
 from repro.dom.parser import Document
 from repro.kb.matcher import PageMatcher
@@ -72,6 +72,7 @@ class CeresBaseline:
                 triple.predicate
             )
         self.feature_extractor: NodeFeatureExtractor | None = None
+        self._batcher: FeatureNameBatcher | None = None
         self.vectorizer: FeatureVectorizer | None = None
         self.classifier: SoftmaxRegression | None = None
         self.examined_pairs = 0
@@ -153,18 +154,15 @@ class CeresBaseline:
 
     def _pair_features(
         self, example_subject: TextNode, example_object: TextNode, document: Document
-    ) -> dict[str, float]:
-        assert self.feature_extractor is not None
-        features: dict[str, float] = {}
-        for name, value in self.feature_extractor.features(
-            example_subject, document
-        ).items():
-            features[f"s:{name}"] = value
-        for name, value in self.feature_extractor.features(
-            example_object, document
-        ).items():
-            features[f"o:{name}"] = value
-        return features
+    ) -> tuple[str, ...]:
+        """The pair's feature names: the subject's and the object's walker
+        rows, prefixed ``s:`` and ``o:``."""
+        assert self._batcher is not None
+        return tuple(
+            f"s:{name}" for name in self._batcher.row_for(example_subject, document)
+        ) + tuple(
+            f"o:{name}" for name in self._batcher.row_for(example_object, document)
+        )
 
     def fit(self, documents: list[Document]) -> CeresBaseline:
         """Annotate pairs and train the pair classifier."""
@@ -172,13 +170,14 @@ class CeresBaseline:
         if not examples:
             raise ValueError("pairwise annotation produced no examples")
         self.feature_extractor = NodeFeatureExtractor(self.config).fit(documents)
+        self._batcher = FeatureNameBatcher(self.feature_extractor)
         samples = [
             self._pair_features(e.subject_node, e.object_node, documents[e.page_index])
             for e in examples
         ]
         labels = [e.label for e in examples]
         self.vectorizer = FeatureVectorizer()
-        X = self.vectorizer.fit_transform(samples)
+        X = self.vectorizer.fit_transform_name_rows(samples)
         self.classifier = SoftmaxRegression(
             C=self.config.classifier_C, max_iter=self.config.classifier_max_iter
         )
@@ -218,7 +217,7 @@ class CeresBaseline:
                 samples.append(self._pair_features(node_s, node_o, document))
         if not pairs:
             return []
-        X = self.vectorizer.transform(samples)
+        X = self.vectorizer.transform_name_rows(samples)
         probabilities = self.classifier.predict_proba(X)
         labels = list(self.classifier.classes_)
         best_columns = np.argmax(probabilities, axis=1)

@@ -22,9 +22,11 @@ URLs, and the string lexicon are one site's private vocabulary).  The
 cross-site global model (:mod:`repro.transfer`) trains on the ``xfer:``
 namespace only; per-site models consume both.
 
-:class:`NodeFeatureExtractor` builds one node's feature dict, the
-reference; :class:`FeatureNameBatcher` is the walker training and
-scoring run, which builds the same names once per template position.
+:class:`NodeFeatureExtractor` holds a site's frequent strings;
+:class:`FeatureNameBatcher` is the one walker that builds the names,
+once per template position, for every model: per-site training and
+scoring, CERES-Baseline's node pairs, and (with no attributes and no
+lexicon, so tag topology only) the cross-site global model.
 
 Feature extraction is the hot loop of both training and extraction, so the
 nearby-string search uses a per-page registry: each frequent-string node
@@ -49,8 +51,6 @@ from repro.dom.parser import Document
 
 __all__ = ["NodeFeatureExtractor", "FeatureNameBatcher"]
 
-FeatureDict = dict[str, float]
-
 #: Bound on each intern table of :class:`FeatureNameBatcher`; template
 #: clusters converge to a handful of entries per position, pathological
 #: sites reset the tables and recompute.
@@ -63,7 +63,8 @@ _FINGERPRINT, _SIGNATURE, _ROW, _CHAINS = 1, 2, 3, 4
 
 
 class NodeFeatureExtractor:
-    """Produces the feature dictionary for a DOM text node."""
+    """A site's node-text lexicon and the per-page registry of where its
+    strings occur; :class:`FeatureNameBatcher` builds the names."""
 
     def __init__(self, config: CeresConfig | None = None) -> None:
         self.config = config or CeresConfig()
@@ -113,10 +114,9 @@ class NodeFeatureExtractor:
 
         Each frequent-string occurrence registers itself on its enclosing
         element and ``text_feature_height`` further ancestors; the downward
-        path records the tag chain from the ancestor to the string.  The
-        per-node path and :class:`FeatureNameBatcher` read this registry.
-        The last page's registry is kept, so one page's nodes build it
-        once.
+        path records the tag chain from the ancestor to the string.
+        :class:`FeatureNameBatcher` reads this registry.  The last page's
+        registry is kept, so one page's nodes build it once.
         """
         doc_id, registry = self._last_registry
         if doc_id == document.doc_id:
@@ -138,70 +138,6 @@ class NodeFeatureExtractor:
         registry = dict(registry)
         self._last_registry = (document.doc_id, registry)
         return registry
-
-    # -- feature extraction --------------------------------------------------
-
-    def features(self, node: TextNode, document: Document) -> FeatureDict:
-        """The full feature dictionary for one text node."""
-        result: FeatureDict = {}
-        self._structural_features(node, result)
-        self._text_features(node, document, result)
-        return result
-
-    def _structural_features(self, node: TextNode, result: FeatureDict) -> None:
-        """Vertex-style 4-tuple features over ancestors and their siblings."""
-        config = self.config
-        element: ElementNode | None = node.parent
-        level = 0
-        while element is not None and level <= config.struct_ancestor_levels:
-            self._attribute_features(element, level, 0, result)
-            parent = element.parent
-            if parent is not None:
-                siblings = parent.element_children()
-                # Parse-time sibling position; the identity check preserves
-                # the old scan's "not actually a child" fallback for
-                # hand-assembled trees without the O(siblings) cost.
-                position = element.element_index
-                if position >= len(siblings) or siblings[position] is not element:
-                    position = -1
-                if position >= 0:
-                    width = config.struct_sibling_width
-                    for offset in range(-width, width + 1):
-                        if offset == 0:
-                            continue
-                        sibling_index = position + offset
-                        if 0 <= sibling_index < len(siblings):
-                            self._attribute_features(
-                                siblings[sibling_index], level, offset, result
-                            )
-            element = parent
-            level += 1
-
-    def _attribute_features(
-        self, element: ElementNode, level: int, sibling: int, result: FeatureDict
-    ) -> None:
-        # Tag topology transfers across sites; attribute values are one
-        # site's private vocabulary — hence the namespace split.
-        result[f"xfer:s|tag|{element.tag}|{level}|{sibling}"] = 1.0
-        for attribute in self.config.struct_attributes:
-            value = element.attrs.get(attribute)
-            if value:
-                result[f"site:s|{attribute}|{value}|{level}|{sibling}"] = 1.0
-
-    def _text_features(
-        self, node: TextNode, document: Document, result: FeatureDict
-    ) -> None:
-        """Nearby frequent-string features: (string, path through the tree)."""
-        if not self.frequent_strings:
-            return
-        registry = self.registry_for(document)
-        element: ElementNode | None = node.parent
-        ups = 0
-        while element is not None and ups <= self.config.text_feature_height:
-            for text, down_path in registry.get(id(element), ()):
-                result[f"site:t|{text}|u{ups}|{down_path}"] = 1.0
-            element = element.parent
-            ups += 1
 
 
 class FeatureNameBatcher:
@@ -228,13 +164,13 @@ class FeatureNameBatcher:
     pages resolve a node's row with a few dict probes and no string
     formatting.  Per-pass ids live in each element's scratch record
     (``ElementNode._scoring``), validated by a token that changes with
-    every page and every reset.
+    every page and every reset.  Each walker checks its own token, so
+    two walkers may visit one page in turn (a site model's and the
+    global model's): each rebuilds the records the other wrote.
 
-    Row name *sets* equal the key sets of
-    :meth:`NodeFeatureExtractor.features` for the same node (struct
-    names are unique by construction; duplicate text registrations may
-    repeat and are deduplicated by the vectorizer exactly as ``dict``
-    keys were).  Template twins share one row tuple, which lets
+    Struct names are unique by construction; duplicate text
+    registrations may repeat, and the vectorizer keeps each name once
+    per row.  Template twins share one row tuple, which lets
     :meth:`repro.ml.features.FeatureVectorizer.transform_name_rows`
     sort each distinct row once, and lets the scorer
     (:meth:`repro.core.extraction.trainer.CeresModel.score_pages`)
@@ -338,10 +274,9 @@ class FeatureNameBatcher:
     def _signature(self, element: ElementNode, record: list) -> int:
         """Interned signature of the element's sibling window.
 
-        Mirrors the reference scan: no parent or a stale
-        ``element_index`` (hand-assembled trees) collapses the window to
-        the element alone.  The window is level-independent, so it is
-        resolved once per element per pass.
+        No parent or a stale ``element_index`` (hand-assembled trees)
+        collapses the window to the element alone.  The window is
+        level-independent, so it is resolved once per element per pass.
         """
         parent = element.parent
         position = element.element_index

@@ -60,10 +60,10 @@ class CeresModel:
         order; pages without text fields get an empty node list and a
         ``(0, n_classes)`` probability block.  Each row id is resolved
         against the vocabulary once per model: its sorted, duplicate-free
-        columns — the canonical layout :meth:`FeatureVectorizer.transform`
-        emits — so the probabilities equal those of the per-node chain
-        (:meth:`NodeFeatureExtractor.features` → ``transform`` →
-        ``predict_proba``) bit for bit.
+        columns — the canonical layout
+        :meth:`FeatureVectorizer.transform_name_rows` emits — so the
+        probabilities equal those of vectorizing the rows and calling
+        ``predict_proba`` bit for bit.
         """
         # Resolved per call, so a model built before obs.enable() still
         # reports; when off, every record below is a no-op.
@@ -142,9 +142,9 @@ class CeresTrainer:
         matrix through the vectorizer's preallocated name-row path, and
         the classifier fits through the deduplicated fast objective.  The
         resulting model — vocabulary, matrix, and coefficients — is
-        byte-identical to the per-node chain's (feature dicts,
-        :meth:`FeatureVectorizer.fit_transform`, the textbook objective
-        under ``scipy.optimize.minimize``).
+        byte-identical to the textbook chain's (per-node feature dicts,
+        dict vectorization, the textbook objective under
+        ``scipy.optimize.minimize``; ``tests/reference_chain.py``).
         """
         if not examples:
             raise ValueError("no training examples — annotation produced nothing")

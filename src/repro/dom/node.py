@@ -77,7 +77,8 @@ class ElementNode:
         #: Scratch record for the feature-row walker
         #: (:class:`repro.core.extraction.features.FeatureNameBatcher`):
         #: a token-validated list of this element's interned ids for the
-        #: current pass.  Opaque to everything else; one pass per
+        #: current pass of the walker that wrote it; another walker
+        #: rebuilds it.  Opaque to everything else; one thread per
         #: document at a time.
         self._scoring: list | None = None
 

@@ -38,6 +38,7 @@ so artifacts are portable across processes, machines, and (with the
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -131,19 +132,43 @@ def config_to_dict(config: CeresConfig) -> dict:
 def config_from_dict(data: dict) -> CeresConfig:
     """Rebuild a config; unknown keys are ignored, missing keys default.
 
-    Tuple-typed fields (``struct_attributes``) are restored from JSON
-    lists so the round-tripped config compares equal to the original.
+    Each field given must have its default's type: a bool for bools, an
+    int that is not a bool for ints, an int or finite float for floats,
+    and a list (or, in process, a tuple) of strings for tuples
+    (``struct_attributes``, restored as a tuple so the round-tripped
+    config compares equal to the original).
+    Raises ``TypeError`` otherwise, so an ill-typed artifact is refused
+    at load instead of failing every request that scores with it.
     """
+    if not isinstance(data, dict):
+        raise TypeError(f"config must be an object, not {type(data).__name__}")
     defaults = CeresConfig()
     overrides = {}
     for field in dataclasses.fields(CeresConfig):
         if field.name not in data:
             continue
         value = data[field.name]
-        if isinstance(getattr(defaults, field.name), tuple):
-            value = tuple(value)
+        default = getattr(defaults, field.name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, bool):
+            kind, valid = "a bool", isinstance(value, bool)
+        elif isinstance(default, int):
+            kind, valid = "an int", number and isinstance(value, int)
+        elif isinstance(default, float):
+            kind, valid = "a finite number", number and math.isfinite(value)
+        else:
+            kind, valid = "a list of strings", _is_string_list(value)
+            value = tuple(value) if valid else value
+        if not valid:
+            raise TypeError(f"config.{field.name} must be {kind}, not {value!r}")
         overrides[field.name] = value
     return CeresConfig(**overrides)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(item, str) for item in value
+    )
 
 
 # -- model components ------------------------------------------------------
@@ -343,6 +368,10 @@ def global_model_from_dict(data: dict) -> GlobalCeresModel:
     ``TypeError``/``ValueError`` on malformed input (wrapped by the
     registry)."""
     config = config_from_dict(data["config"])
+    if not _is_string_list(data["predicates"]):
+        raise TypeError(
+            f"predicates must be a list of strings, not {data['predicates']!r}"
+        )
     vectorizer = _vocabulary_from_jsonable(data["vocabulary"])
     return GlobalCeresModel(
         TransferFeatureExtractor(data["predicates"], config),

@@ -7,9 +7,10 @@ unseen sites of a vertical, while CERES's site-specific vocabulary
 (CSS classes, frequent-string lexicons) does not.  This module produces
 exactly that restricted representation:
 
-* **tag topology** — the per-site extractor's structural ancestor/
-  sibling-window features, filtered to the ``xfer:`` namespace (tag
-  names only; attribute values stay behind in ``site:``);
+* **tag topology** — the per-site walker's structural ancestor/
+  sibling-window names over tags alone (a walker configured with no
+  attributes and no lexicon emits exactly the ``xfer:s|tag|…`` names;
+  attribute values stay behind in ``site:``);
 * **depth buckets** — capped absolute DOM depth of the text node;
 * **relative layout** — the node's decile position among the page's
   text fields, plus first/last markers;
@@ -21,7 +22,8 @@ exactly that restricted representation:
 
 Every feature name this module emits is in the ``xfer:`` namespace, and
 none embeds markup values: no attribute values, no XPaths, no site
-strings.  CI greps this file to keep it that way.
+strings.  CI greps this file to keep it that way.  A node's features
+are a tuple of names, the row the vectorizer's name-row path reads.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ import re
 from collections.abc import Iterable
 
 from repro.core.config import CeresConfig
-from repro.core.extraction.features import FeatureDict, NodeFeatureExtractor
+from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtractor
 from repro.dom.node import TextNode
 from repro.dom.parser import Document
-from repro.ml.features import NAMESPACE_SEPARATOR, TRANSFER_NAMESPACE
 
 __all__ = ["TransferFeatureExtractor", "predicate_tokens", "shape_classes"]
 
-_XFER_PREFIX = TRANSFER_NAMESPACE + NAMESPACE_SEPARATOR
+#: One node's feature names.
+Row = tuple[str, ...]
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 _YEAR_PATTERN = re.compile(r"(?:18|19|20)\d\d")
@@ -92,7 +94,7 @@ def shape_classes(text: str) -> list[str]:
 
 
 class TransferFeatureExtractor:
-    """Produces the ``xfer:``-only feature dictionary for a text node.
+    """Produces the ``xfer:``-only feature row of a text node.
 
     Needs no fitting: unlike :class:`NodeFeatureExtractor` there is no
     site lexicon to compile — the whole point is that every signal here
@@ -111,22 +113,23 @@ class TransferFeatureExtractor:
             for name in self.predicates
             if (tokens := predicate_tokens(name))
         }
-        # The per-site extractor, unfitted: with an empty frequent-string
-        # lexicon it emits structural features only, of which we keep the
-        # xfer: namespace (tag topology) and drop site: (attr values).
-        self._structural = NodeFeatureExtractor(self.config)
+        # A walker with no attributes and an empty lexicon emits the
+        # tag-topology names only, and interns template positions by tag.
+        self._structural = FeatureNameBatcher(
+            NodeFeatureExtractor(self.config.replace(struct_attributes=()))
+        )
         # Page rows are deterministic per document; keep the last page's,
         # keyed by doc_id like the per-site feature registry.
         self._last_page: tuple[
-            int | None, tuple[list[TextNode], list[FeatureDict]]
+            int | None, tuple[list[TextNode], list[Row]]
         ] = (None, ([], []))
 
     # -- page-level extraction ---------------------------------------------
 
     def page_features(
         self, document: Document
-    ) -> tuple[list[TextNode], list[FeatureDict]]:
-        """``(nodes, feature dicts)`` for every non-empty text field.
+    ) -> tuple[list[TextNode], list[Row]]:
+        """``(nodes, feature rows)`` for every non-empty text field.
 
         Layout features are relative positions within this list, so rows
         are built page-at-a-time (the last page's are kept, keyed by
@@ -144,8 +147,8 @@ class TransferFeatureExtractor:
         self._last_page = (document.doc_id, result)
         return result
 
-    def features(self, node: TextNode, document: Document) -> FeatureDict:
-        """The feature dictionary of one node (via the page rows)."""
+    def features(self, node: TextNode, document: Document) -> Row:
+        """The feature row of one node (via the page rows)."""
         nodes, rows = self.page_features(document)
         for position, candidate in enumerate(nodes):
             if candidate is node:
@@ -160,33 +163,30 @@ class TransferFeatureExtractor:
         document: Document,
         position: int | None,
         page_nodes: list[TextNode],
-    ) -> FeatureDict:
-        result: FeatureDict = {}
-        for name, value in self._structural.features(node, document).items():
-            if name.startswith(_XFER_PREFIX):
-                result[name] = value
-        result[f"xfer:depth|{min(node.depth, _DEPTH_CAP)}"] = 1.0
+    ) -> Row:
+        # The walker's row is shared by template twins: extend a copy.
+        names = list(self._structural.row_for(node, document))
+        names.append(f"xfer:depth|{min(node.depth, _DEPTH_CAP)}")
         text = node.text
         previous_text = ""
         if position is not None and page_nodes:
             n_fields = len(page_nodes)
             bucket = (_LAYOUT_BUCKETS * position) // n_fields
-            result[f"xfer:layout|pos|{bucket}"] = 1.0
+            names.append(f"xfer:layout|pos|{bucket}")
             if position == 0:
-                result["xfer:layout|first"] = 1.0
+                names.append("xfer:layout|first")
             if position == n_fields - 1:
-                result["xfer:layout|last"] = 1.0
+                names.append("xfer:layout|last")
             if position > 0:
                 previous_text = page_nodes[position - 1].text
-        for shape in shape_classes(text):
-            result[f"xfer:shape|{shape}"] = 1.0
-        self._overlap_features(text, "self", result)
+        names.extend(f"xfer:shape|{shape}" for shape in shape_classes(text))
+        self._overlap_features(text, "self", names)
         if previous_text:
-            self._overlap_features(previous_text, "prev", result)
-        return result
+            self._overlap_features(previous_text, "prev", names)
+        return tuple(names)
 
     def _overlap_features(
-        self, text: str, context: str, result: FeatureDict
+        self, text: str, context: str, names: list[str]
     ) -> None:
         """Token overlap between ``text`` and each predicate's name.
 
@@ -200,6 +200,6 @@ class TransferFeatureExtractor:
             return
         for predicate, wanted in self._predicate_tokens.items():
             if wanted <= tokens:
-                result[f"xfer:pred|{predicate}|{context}|full"] = 1.0
+                names.append(f"xfer:pred|{predicate}|{context}|full")
             elif wanted & tokens:
-                result[f"xfer:pred|{predicate}|{context}|part"] = 1.0
+                names.append(f"xfer:pred|{predicate}|{context}|part")

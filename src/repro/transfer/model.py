@@ -12,12 +12,11 @@ It deliberately satisfies the model interface
 :class:`~repro.core.extraction.extractor.CeresExtractor` consumes
 (``labels`` + ``score_pages``), so candidate assembly — name-node
 identification, argmax-non-OTHER candidates, thresholding — is the
-per-site code path, not a fork of it.  Scoring runs through the dict
-vectorizer rather than the per-site model's interned feature rows
-(:class:`~repro.core.extraction.features.FeatureNameBatcher`): the
-transfer feature families (depth, layout, predicate overlap, shape) do
-not depend on the parent element alone, and the fallback path is the
-cold path by design.
+per-site code path, not a fork of it.  Scoring vectorizes the
+extractor's name rows: tag topology comes from a tag-only
+:class:`~repro.core.extraction.features.FeatureNameBatcher`, and the
+families that do not depend on the parent element alone (depth,
+layout, predicate overlap, shape) are added per node.
 
 Extractions are tagged ``model="transfer"`` so downstream consumers
 (fusion, output rows, the serving tier's response label) can tell
@@ -68,7 +67,7 @@ class GlobalCeresModel:
     # -- scoring (the CeresExtractor model interface) ----------------------
 
     def score_pages(self, documents: Sequence[Document]) -> list[PageScores]:
-        """``(nodes, probabilities)`` per page via the dict-feature path."""
+        """``(nodes, probabilities)`` per page via the name-row path."""
         results: list[PageScores] = []
         n_labels = len(self.classifier.classes_)
         for document in documents:
@@ -76,7 +75,7 @@ class GlobalCeresModel:
             if not nodes:
                 results.append(([], np.empty((0, n_labels))))
                 continue
-            X = self.vectorizer.transform(rows)
+            X = self.vectorizer.transform_name_rows(rows)
             results.append((nodes, self.classifier.predict_proba(X)))
         return results
 

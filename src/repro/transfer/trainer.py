@@ -8,8 +8,8 @@ sampling via :meth:`~repro.core.pipeline.CeresPipeline.cluster_examples`
 between sites is exactly what the representation cannot see.
 
 Training runs in two steps.  :func:`featurize_site` turns one site's
-examples into :class:`SiteSamples` (feature dicts and labels, plain
-data) while the site's parsed pages are at hand; :func:`fit_global`
+examples into :class:`SiteSamples` (feature-name rows and labels,
+plain data) while the site's parsed pages are at hand; :func:`fit_global`
 pools the sites' samples, vectorizes them and fits the classifier.
 ``run-corpus --train-global`` featurizes each site in the worker that
 trained it and fits in the parent; ``train-global`` and the
@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping
 from repro import obs
 from repro.core.annotation.examples import TrainingExample
 from repro.core.config import CeresConfig
-from repro.core.extraction.features import FeatureDict
 from repro.core.pipeline import CeresPipeline, CeresResult
 from repro.dom.parser import Document
 from repro.kb.store import KnowledgeBase
@@ -74,13 +73,13 @@ class SiteExamples:
 @dataclass
 class SiteSamples:
     """One site's featurized contribution to global training: the
-    ``xfer:`` feature dict and the label of each example, in example
+    ``xfer:`` feature-name row and the label of each example, in example
     order.  Plain data, so a corpus worker can ship it to its parent."""
 
     site: str
     #: the predicate names the features were built with (sorted).
     predicates: tuple[str, ...]
-    samples: list[FeatureDict]
+    samples: list[tuple[str, ...]]
     labels: list[str]
 
 
@@ -149,7 +148,7 @@ def fit_global(
     labels = [label for site in pools for label in site.labels]
     with obs.stage("stage.train_global", sites=len(pools)) as stage:
         vectorizer = FeatureVectorizer()
-        X = vectorizer.fit_transform(samples)
+        X = vectorizer.fit_transform_name_rows(samples)
         classifier = SoftmaxRegression(
             C=config.classifier_C, max_iter=config.classifier_max_iter
         )

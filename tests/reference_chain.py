@@ -3,15 +3,19 @@
 Training and scoring run through one vectorized path in ``repro``: the
 feature-row walker, the name-row vectorizer, the deduplicated L-BFGS
 objective under a direct ``setulb`` loop, and ``score_pages``.  The
-references here rebuild the textbook chain from public pieces that stay
-in ``repro`` (``NodeFeatureExtractor.features``,
-``FeatureVectorizer.fit_transform``/``transform``, ``predict_proba``),
-plus the textbook loss and gradient under ``scipy.optimize.minimize``.
+references here rebuild the textbook chain: one feature dict per node
+(:func:`node_features`, Section 4.2 built node by node), dict
+vectorization (:func:`fit_dicts`, :func:`transform_dicts`),
+``predict_proba``, and the textbook loss and gradient under
+``scipy.optimize.minimize``.  The same chain covers the cross-site
+global model (the dicts filtered to ``xfer:`` plus the transfer
+families) and CERES-Baseline (subject and object dicts, prefixed).
 Both sides run on whatever numpy/scipy is installed, so the tests
 compare their floats bit for bit without pinning any to one build.
 
-``tests/test_annotation_hotpath.py``, ``tests/test_scoring_engine.py``
-and the two hot-path benchmarks import this module.
+``tests/test_annotation_hotpath.py``, ``tests/test_scoring_engine.py``,
+``tests/test_transfer.py``, ``tests/test_baseline_pairwise.py`` and the
+two hot-path benchmarks import this module.
 """
 
 from __future__ import annotations
@@ -25,6 +29,104 @@ from repro.core.extraction.features import NodeFeatureExtractor
 from repro.core.extraction.trainer import CeresModel
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression
+from repro.transfer.features import (
+    _DEPTH_CAP,
+    _LAYOUT_BUCKETS,
+    TransferFeatureExtractor,
+    predicate_tokens,
+    shape_classes,
+)
+from repro.transfer.model import GlobalCeresModel
+
+# -- per-node feature dicts (Section 4.2) -------------------------------------
+
+
+def node_features(extractor: NodeFeatureExtractor, node, document) -> dict[str, float]:
+    """The feature dict of one text node: Vertex-style structural
+    4-tuples over the parent, its ancestors and their sibling windows,
+    then the nearby frequent strings of ``extractor``'s lexicon."""
+    config = extractor.config
+    result: dict[str, float] = {}
+    element = node.parent
+    level = 0
+    while element is not None and level <= config.struct_ancestor_levels:
+        _attribute_features(config, element, level, 0, result)
+        parent = element.parent
+        if parent is not None:
+            siblings = parent.element_children()
+            position = element.element_index
+            # A hand-assembled tree may leave a stale index: no siblings.
+            if position < len(siblings) and siblings[position] is element:
+                width = config.struct_sibling_width
+                for offset in range(-width, width + 1):
+                    index = position + offset
+                    if offset and 0 <= index < len(siblings):
+                        _attribute_features(
+                            config, siblings[index], level, offset, result
+                        )
+        element = parent
+        level += 1
+    if extractor.frequent_strings:
+        registry = extractor.registry_for(document)
+        element = node.parent
+        ups = 0
+        while element is not None and ups <= config.text_feature_height:
+            for text, down_path in registry.get(id(element), ()):
+                result[f"site:t|{text}|u{ups}|{down_path}"] = 1.0
+            element = element.parent
+            ups += 1
+    return result
+
+
+def _attribute_features(config, element, level, sibling, result) -> None:
+    result[f"xfer:s|tag|{element.tag}|{level}|{sibling}"] = 1.0
+    for attribute in config.struct_attributes:
+        value = element.attrs.get(attribute)
+        if value:
+            result[f"site:s|{attribute}|{value}|{level}|{sibling}"] = 1.0
+
+
+# -- dict vectorization ------------------------------------------------------
+
+
+def fit_dicts(samples) -> FeatureVectorizer:
+    """A vectorizer over every key of ``samples``, sorted."""
+    names: set[str] = set()
+    for sample in samples:
+        names.update(sample)
+    vectorizer = FeatureVectorizer()
+    vectorizer.vocabulary_ = {name: index for index, name in enumerate(sorted(names))}
+    vectorizer._fitted = True
+    return vectorizer
+
+
+def transform_dicts(vectorizer: FeatureVectorizer, samples) -> sp.csr_matrix:
+    """One CSR row per feature dict: its known keys' columns, ascending,
+    with their nonzero values."""
+    vocabulary = vectorizer.vocabulary_
+    indices: list[int] = []
+    data: list[float] = []
+    indptr = [0]
+    for sample in samples:
+        for column, value in sorted(
+            (column, value)
+            for name, value in sample.items()
+            if value and (column := vocabulary.get(name)) is not None
+        ):
+            indices.append(column)
+            data.append(value)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(indptr, dtype=np.int32),
+        ),
+        shape=(len(samples), len(vocabulary)),
+    )
+
+
+# -- the textbook fit --------------------------------------------------------
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -86,22 +188,30 @@ def reference_fit(
     return model
 
 
+def fit_dict_samples(samples, labels, config):
+    """Dict vectorization and :func:`reference_fit`: ``(vectorizer,
+    matrix, classifier)``."""
+    vectorizer = fit_dicts(samples)
+    X = transform_dicts(vectorizer, samples)
+    classifier = reference_fit(
+        X, labels, C=config.classifier_C, max_iter=config.classifier_max_iter
+    )
+    return vectorizer, X, classifier
+
+
+# -- per-site models ---------------------------------------------------------
+
+
 def reference_train(examples, documents, config) -> CeresModel:
     """``CeresTrainer.train`` through per-node feature dicts, dict
     vectorization and :func:`reference_fit`."""
     extractor = NodeFeatureExtractor(config).fit(documents)
     samples = [
-        extractor.features(example.node, documents[example.page_index])
+        node_features(extractor, example.node, documents[example.page_index])
         for example in examples
     ]
-    vectorizer = FeatureVectorizer()
-    X = vectorizer.fit_transform(samples)
-    classifier = reference_fit(
-        X,
-        [example.label for example in examples],
-        C=config.classifier_C,
-        max_iter=config.classifier_max_iter,
-    )
+    labels = [example.label for example in examples]
+    vectorizer, _, classifier = fit_dict_samples(samples, labels, config)
     return CeresModel(extractor, vectorizer, classifier)
 
 
@@ -119,10 +229,10 @@ def model_fingerprint(model: CeresModel | None):
 
 
 def reference_probabilities(model: CeresModel, nodes, document) -> np.ndarray:
-    """Class probabilities per node: feature dicts, ``transform``,
+    """Class probabilities per node: feature dicts, dict vectorization,
     ``predict_proba``."""
-    samples = [model.feature_extractor.features(node, document) for node in nodes]
-    return model.classifier.predict_proba(model.vectorizer.transform(samples))
+    samples = [node_features(model.feature_extractor, node, document) for node in nodes]
+    return model.classifier.predict_proba(transform_dicts(model.vectorizer, samples))
 
 
 def reference_page_candidates(
@@ -148,3 +258,95 @@ def reference_pool_candidates(pool, documents) -> list[PageCandidates]:
         else:
             pages.append(reference_page_candidates(extractor, document, page_index))
     return pages
+
+
+# -- the cross-site global model ---------------------------------------------
+
+
+def transfer_features(
+    extractor: TransferFeatureExtractor, node, document, position, page_nodes
+) -> dict[str, float]:
+    """The global model's dict of one node: the per-node dict of an
+    unfitted site extractor filtered to ``xfer:``, then depth, layout,
+    shape and predicate-overlap names."""
+    structural = NodeFeatureExtractor(extractor.config)
+    result = {
+        name: value
+        for name, value in node_features(structural, node, document).items()
+        if name.startswith("xfer:")
+    }
+    result[f"xfer:depth|{min(node.depth, _DEPTH_CAP)}"] = 1.0
+    previous_text = ""
+    if position is not None and page_nodes:
+        n_fields = len(page_nodes)
+        result[f"xfer:layout|pos|{(_LAYOUT_BUCKETS * position) // n_fields}"] = 1.0
+        if position == 0:
+            result["xfer:layout|first"] = 1.0
+        if position == n_fields - 1:
+            result["xfer:layout|last"] = 1.0
+        if position > 0:
+            previous_text = page_nodes[position - 1].text
+    for shape in shape_classes(node.text):
+        result[f"xfer:shape|{shape}"] = 1.0
+    for text, context in ((node.text, "self"), (previous_text, "prev")):
+        tokens = predicate_tokens(text)
+        if not tokens:
+            continue
+        for predicate in extractor.predicates:
+            wanted = predicate_tokens(predicate)
+            if wanted and wanted <= tokens:
+                result[f"xfer:pred|{predicate}|{context}|full"] = 1.0
+            elif wanted & tokens:
+                result[f"xfer:pred|{predicate}|{context}|part"] = 1.0
+    return result
+
+
+def transfer_page_features(extractor: TransferFeatureExtractor, document):
+    """``(nodes, feature dicts)`` for a page's non-empty text fields."""
+    nodes = [node for node in document.text_fields() if node.text.strip()]
+    return nodes, [
+        transfer_features(extractor, node, document, position, nodes)
+        for position, node in enumerate(nodes)
+    ]
+
+
+def reference_train_global(site_examples, predicates, config) -> GlobalCeresModel:
+    """``train_global`` through per-node transfer dicts, dict
+    vectorization and :func:`reference_fit`."""
+    extractor = TransferFeatureExtractor(predicates, config)
+    samples, labels = [], []
+    for pool in site_examples:
+        for example in pool.examples:
+            document = pool.documents[example.page_index]
+            nodes = [node for node in document.text_fields() if node.text.strip()]
+            position = next(
+                (index for index, node in enumerate(nodes) if node is example.node),
+                None,
+            )
+            samples.append(
+                transfer_features(extractor, example.node, document, position, nodes)
+            )
+            labels.append(example.label)
+    vectorizer, _, classifier = fit_dict_samples(samples, labels, config)
+    return GlobalCeresModel(extractor, vectorizer, classifier, config)
+
+
+def reference_global_probabilities(model: GlobalCeresModel, document) -> np.ndarray:
+    """The global model's class probabilities for a page's nodes."""
+    _, samples = transfer_page_features(model.feature_extractor, document)
+    return model.classifier.predict_proba(transform_dicts(model.vectorizer, samples))
+
+
+# -- CERES-Baseline ----------------------------------------------------------
+
+
+def baseline_pair_features(extractor, subject, obj, document) -> dict[str, float]:
+    """A node pair's dict: the subject's and the object's per-node
+    dicts, keys prefixed ``s:`` and ``o:``."""
+    features = {
+        f"s:{name}": value
+        for name, value in node_features(extractor, subject, document).items()
+    }
+    for name, value in node_features(extractor, obj, document).items():
+        features[f"o:{name}"] = value
+    return features

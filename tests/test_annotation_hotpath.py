@@ -22,7 +22,14 @@ from annotation_goldens import (
     result_digest,
     swde_fixture,
 )
-from reference_chain import model_fingerprint, reference_fit, reference_train
+from reference_chain import (
+    fit_dicts,
+    model_fingerprint,
+    node_features,
+    reference_fit,
+    reference_train,
+    transform_dicts,
+)
 from repro.core.annotation.relation import RelationAnnotator
 from repro.core.annotation.topic import TopicIdentifier
 from repro.core.config import CeresConfig
@@ -30,6 +37,7 @@ from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtrac
 from repro.core.pipeline import CeresPipeline
 from repro.datasets import generate_imdb, generate_swde, seed_kb_for
 from repro.kb.surfaces import SurfaceIndex
+from repro.dom.parser import parse_html
 from repro.ml.features import FeatureVectorizer
 from repro.ml.logistic import SoftmaxRegression
 
@@ -145,12 +153,12 @@ class TestBatchedFeatureRows:
         for document in documents:
             for node in document.text_fields():
                 row = batcher.row_for(node, document)
-                legacy = extractor.features(node, document)
-                assert set(row) == set(legacy), node.xpath
+                reference = node_features(extractor, node, document)
+                assert set(row) == set(reference), node.xpath
 
     def test_rows_survive_cache_guard_clears(self, monkeypatch):
         """With a tiny cache limit the walker resets its intern tables
-        between nearly every row; rows must still match the oracle (an
+        between nearly every row; rows must still match the reference (an
         id kept across a reset would name another row's names)."""
         import repro.core.extraction.features as features_module
 
@@ -163,7 +171,7 @@ class TestBatchedFeatureRows:
         for document in documents:
             for node in document.text_fields():
                 row = batcher.row_for(node, document)
-                assert set(row) == set(extractor.features(node, document))
+                assert set(row) == set(node_features(extractor, node, document))
 
     def test_vectorizer_name_rows_match_dict_path(self):
         dataset = generate_swde("movie", n_sites=1, pages_per_site=6, seed=7)
@@ -175,15 +183,64 @@ class TestBatchedFeatureRows:
         for document in documents:
             for node in document.text_fields():
                 rows.append(batcher.row_for(node, document))
-                dicts.append(extractor.features(node, document))
+                dicts.append(node_features(extractor, node, document))
         fast_vectorizer = FeatureVectorizer()
         X_fast = fast_vectorizer.fit_transform_name_rows(rows)
-        legacy_vectorizer = FeatureVectorizer()
-        X_legacy = legacy_vectorizer.fit_transform(dicts)
-        assert fast_vectorizer.vocabulary_ == legacy_vectorizer.vocabulary_
-        assert (X_fast != X_legacy).nnz == 0
-        assert X_fast.indices.tolist() == X_legacy.indices.tolist()
-        assert X_fast.indptr.tolist() == X_legacy.indptr.tolist()
+        dict_vectorizer = fit_dicts(dicts)
+        X_dicts = transform_dicts(dict_vectorizer, dicts)
+        assert fast_vectorizer.vocabulary_ == dict_vectorizer.vocabulary_
+        assert (X_fast != X_dicts).nnz == 0
+        assert X_fast.indices.tolist() == X_dicts.indices.tolist()
+        assert X_fast.indptr.tolist() == X_dicts.indptr.tolist()
+        assert X_fast.data.tolist() == X_dicts.data.tolist()
+
+    def test_site_and_tag_only_walkers_alternate_on_one_page(self):
+        """A site model's walker and the global model's tag-only walker
+        share each element's scratch slot.  Alternating node by node,
+        twice over one page, each returns the rows it returns alone; the
+        tag-only rows are the reference dicts' ``xfer:`` names."""
+        dataset = generate_swde("movie", n_sites=1, pages_per_site=6, seed=7)
+        documents = [page.document for page in dataset.sites[0].pages]
+        config = CeresConfig()
+        lexicon = NodeFeatureExtractor(config).fit(documents).frequent_strings
+        assert lexicon
+        html = dataset.sites[0].pages[0].html
+
+        def site_walker():
+            extractor = NodeFeatureExtractor(config)
+            extractor.frequent_strings = set(lexicon)
+            return FeatureNameBatcher(extractor)
+
+        def tag_walker():
+            return FeatureNameBatcher(
+                NodeFeatureExtractor(config.replace(struct_attributes=()))
+            )
+
+        def alone(make_walker):
+            document = parse_html(html)
+            walker = make_walker()
+            return [walker.row_for(node, document) for node in document.text_fields()]
+
+        site_alone, tag_alone = alone(site_walker), alone(tag_walker)
+        assert any(name.startswith("site:t|") for row in site_alone for name in row)
+
+        document = parse_html(html)
+        unfitted = NodeFeatureExtractor(config)
+        for node, row in zip(document.text_fields(), tag_alone):
+            expected = {
+                name
+                for name in node_features(unfitted, node, document)
+                if name.startswith("xfer:")
+            }
+            assert set(row) == expected and len(row) == len(expected)
+        site, tag = site_walker(), tag_walker()
+        for _ in range(2):
+            site_rows, tag_rows = [], []
+            for node in document.text_fields():
+                site_rows.append(site.row_for(node, document))
+                tag_rows.append(tag.row_for(node, document))
+            assert site_rows == site_alone
+            assert tag_rows == tag_alone
 
 
 class TestFastFitEquivalence:

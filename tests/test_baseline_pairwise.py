@@ -2,8 +2,10 @@
 
 import pytest
 
+from reference_chain import baseline_pair_features, fit_dict_samples
 from repro.baselines.ceres_baseline import CeresBaseline, MemoryBudgetExceeded
 from repro.core.config import CeresConfig
+from repro.datasets import generate_swde, seed_kb_for
 from repro.dom.parser import parse_html
 from repro.kb.ontology import Ontology, Predicate
 from repro.kb.store import KnowledgeBase
@@ -110,3 +112,39 @@ class TestFitExtract:
         baseline.fit([parse_html(film_page(i)) for i in range(6)])
         doc = parse_html("<html><body><p>no entities at all</p></body></html>")
         assert baseline.extract_page(doc) == []
+
+
+class TestReferenceChain:
+    def test_pair_matrix_and_coefficients_match_reference(self):
+        """Pair rows built from the walker vectorize to the matrix the
+        per-node dicts give, and the fit's coefficients match the
+        textbook fit's bit for bit."""
+        dataset = generate_swde("book", n_sites=1, pages_per_site=8, seed=3)
+        kb = seed_kb_for(dataset, 3)
+        documents = [page.document for page in dataset.sites[0].pages]
+        config = CeresConfig()
+        baseline = CeresBaseline(kb, config).fit(documents)
+        examples = CeresBaseline(kb, config).annotate(documents)
+        pairs = [
+            (e.subject_node, e.object_node, documents[e.page_index]) for e in examples
+        ]
+        X = baseline.vectorizer.transform_name_rows(
+            [baseline._pair_features(*pair) for pair in pairs]
+        )
+        extractor = baseline.feature_extractor
+        vectorizer, X_reference, classifier = fit_dict_samples(
+            [baseline_pair_features(extractor, *pair) for pair in pairs],
+            [e.label for e in examples],
+            config,
+        )
+        assert extractor.frequent_strings
+        assert baseline.vectorizer.vocabulary_ == vectorizer.vocabulary_
+        assert X.indptr.tolist() == X_reference.indptr.tolist()
+        assert X.indices.tolist() == X_reference.indices.tolist()
+        assert X.data.tolist() == X_reference.data.tolist()
+        assert list(baseline.classifier.classes_) == list(classifier.classes_)
+        assert baseline.classifier.coef_.tobytes() == classifier.coef_.tobytes()
+        assert (
+            baseline.classifier.intercept_.tobytes() == classifier.intercept_.tobytes()
+        )
+        assert baseline.extract(documents)  # non-degenerate

@@ -1,8 +1,14 @@
-"""Tests for repro.core.extraction.features (Section 4.2)."""
+"""Tests for repro.core.extraction.features (Section 4.2): the names
+the feature-row walker builds for a node."""
 
 from repro.core.config import CeresConfig
-from repro.core.extraction.features import NodeFeatureExtractor
+from repro.core.extraction.features import FeatureNameBatcher, NodeFeatureExtractor
 from repro.dom.parser import parse_html
+
+
+def row(extractor: NodeFeatureExtractor, node, document) -> tuple[str, ...]:
+    """``node``'s feature names, from a fresh walker over ``extractor``."""
+    return FeatureNameBatcher(extractor).row_for(node, document)
 
 
 def label_page(value: str = "Spike Lee") -> str:
@@ -21,14 +27,14 @@ class TestStructuralFeatures:
         doc = parse_html(label_page())
         extractor = NodeFeatureExtractor(CeresConfig()).fit([doc])
         node = next(f for f in doc.text_fields() if f.text == "Spike Lee")
-        features = extractor.features(node, doc)
+        features = row(extractor, node, doc)
         assert "xfer:s|tag|span|0|0" in features
 
     def test_attribute_features(self):
         doc = parse_html(label_page())
         extractor = NodeFeatureExtractor(CeresConfig()).fit([doc])
         node = next(f for f in doc.text_fields() if f.text == "Spike Lee")
-        features = extractor.features(node, doc)
+        features = row(extractor, node, doc)
         assert "site:s|class|value|0|0" in features
         assert "site:s|itemprop|director|0|0" in features
 
@@ -36,7 +42,7 @@ class TestStructuralFeatures:
         doc = parse_html(label_page())
         extractor = NodeFeatureExtractor(CeresConfig()).fit([doc])
         node = next(f for f in doc.text_fields() if f.text == "Spike Lee")
-        features = extractor.features(node, doc)
+        features = row(extractor, node, doc)
         assert "site:s|class|row|1|0" in features
         assert "site:s|class|info|2|0" in features
         assert "site:s|id|main|2|0" in features
@@ -45,7 +51,7 @@ class TestStructuralFeatures:
         doc = parse_html(label_page())
         extractor = NodeFeatureExtractor(CeresConfig()).fit([doc])
         node = next(f for f in doc.text_fields() if f.text == "Spike Lee")
-        features = extractor.features(node, doc)
+        features = row(extractor, node, doc)
         # The label span is the -1 sibling of the value span.
         assert "site:s|class|label|0|-1" in features
 
@@ -54,7 +60,7 @@ class TestStructuralFeatures:
         config = CeresConfig(struct_ancestor_levels=0)
         extractor = NodeFeatureExtractor(config).fit([doc])
         node = next(f for f in doc.text_fields() if f.text == "Spike Lee")
-        features = extractor.features(node, doc)
+        features = row(extractor, node, doc)
         assert "site:s|class|row|1|0" not in features
         assert "xfer:s|tag|span|0|0" in features
 
@@ -67,7 +73,7 @@ class TestStructuralFeatures:
         config = CeresConfig(struct_sibling_width=2)
         extractor = NodeFeatureExtractor(config).fit([doc])
         node = next(f for f in doc.text_fields() if f.text == "t6")
-        features = extractor.features(node, doc)
+        features = row(extractor, node, doc)
         assert "site:s|class|p5|0|-1" in features
         assert "site:s|class|p4|0|-2" in features
         assert "site:s|class|p3|0|-3" not in features
@@ -89,7 +95,7 @@ class TestTextFeatures:
         docs = self.pages()
         extractor = NodeFeatureExtractor(CeresConfig()).fit(docs)
         node = next(f for f in docs[0].text_fields() if f.text == "Person 0")
-        features = extractor.features(node, docs[0])
+        features = row(extractor, node, docs[0])
         assert any(name.startswith("site:t|Director:") for name in features)
 
     def test_far_string_no_feature(self):
@@ -97,7 +103,7 @@ class TestTextFeatures:
         docs = self.pages()
         extractor = NodeFeatureExtractor(config).fit(docs)
         node = next(f for f in docs[0].text_fields() if f.text == "Person 0")
-        features = extractor.features(node, docs[0])
+        features = row(extractor, node, docs[0])
         # Height 0 means only strings inside the same element qualify.
         assert not any(name.startswith("site:t|Director:") for name in features)
 
@@ -107,7 +113,7 @@ class TestTextFeatures:
         extractor = NodeFeatureExtractor(config).fit(docs)
         assert extractor.frequent_strings == set()
         node = next(f for f in docs[0].text_fields() if f.text == "Person 0")
-        features = extractor.features(node, docs[0])
+        features = row(extractor, node, docs[0])
         assert not any(name.startswith("site:t|") for name in features)
 
     def test_long_strings_not_frequent(self):
@@ -151,13 +157,13 @@ class TestRegistryCacheSafety:
         doc_b = parse_html(self.PAGE_B)
         node_b = next(f for f in doc_b.text_fields() if f.text == "Spike Lee")
         truth = {
-            name for name in truth_extractor.features(node_b, doc_b)
+            name for name in row(truth_extractor, node_b, doc_b)
             if name.startswith("site:t|")
         }
         assert any("Writer:" in name for name in truth)
         del doc_b, node_b
 
-        extractor = self._extractor()
+        batcher = FeatureNameBatcher(self._extractor())
         seen_object_ids: set[int] = set()
         recycled = 0
         for _ in range(60):
@@ -167,7 +173,7 @@ class TestRegistryCacheSafety:
             node_a = next(
                 f for f in doc_a.text_fields() if f.text == "Spike Lee"
             )
-            features_a = extractor.features(node_a, doc_a)
+            features_a = batcher.row_for(node_a, doc_a)
             assert any(name.startswith("site:t|Director:") for name in features_a)
             seen_object_ids.add(id(doc_a))
             del doc_a, node_a
@@ -186,7 +192,7 @@ class TestRegistryCacheSafety:
                 f for f in doc_b.text_fields() if f.text == "Spike Lee"
             )
             features_b = {
-                name for name in extractor.features(node_b, doc_b)
+                name for name in batcher.row_for(node_b, doc_b)
                 if name.startswith("site:t|")
             }
             assert features_b == truth
@@ -199,10 +205,11 @@ class TestRegistryCacheSafety:
     def test_registry_cache_is_bounded(self):
         """Only the last page's registry stays resident."""
         extractor = self._extractor()
+        batcher = FeatureNameBatcher(extractor)
         docs = [parse_html(self.PAGE_A) for _ in range(10)]
         for doc in docs:
             node = doc.text_fields()[0]
-            extractor.features(node, doc)
+            batcher.row_for(node, doc)
         doc_id, registry = extractor._last_registry
         assert doc_id == docs[-1].doc_id
         assert registry is extractor.registry_for(docs[-1])

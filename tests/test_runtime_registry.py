@@ -66,6 +66,30 @@ DAMAGES = {
     "vocabulary-repeated-name": _repeat_name,
     "nan-coefficient": _set_nan,
     "clusters-object": lambda data: data.update(clusters={}),
+    "config-list": lambda data: data.update(config=[]),
+    "config-bool-field-int": lambda data: data["config"].update(
+        use_template_clustering=1
+    ),
+    "config-int-field-bool": lambda data: data["config"].update(
+        min_cluster_size=True
+    ),
+}
+
+
+#: Ill-typed fields of a global artifact, each of which must fail its load.
+ILL_TYPED_GLOBAL = {
+    "predicates-string": lambda data: data.update(predicates="genre"),
+    "predicates-ints": lambda data: data.update(predicates=[1, 2]),
+    "int-field-string": lambda data: data["config"].update(
+        struct_ancestor_levels="4"
+    ),
+    "float-field-string": lambda data: data["config"].update(
+        confidence_threshold="0.5"
+    ),
+    "config-list": lambda data: data.update(config=[]),
+    "tuple-field-string": lambda data: data["config"].update(
+        struct_attributes="class"
+    ),
 }
 
 
@@ -228,7 +252,7 @@ class TestFormatV2:
         )
         from repro.ml.features import FeatureVectorizer
 
-        vectorizer = FeatureVectorizer().fit([{"b": 1.0, "a": 1.0}])
+        vectorizer = FeatureVectorizer().fit_names([("b", "a")])
         encoded = _vocabulary_to_jsonable(vectorizer)
         assert encoded == ["a", "b"]
         restored = _vocabulary_from_jsonable(encoded)
@@ -298,6 +322,20 @@ class TestGlobalArtifact:
             registry.load_global()
         assert registry.delete_global()
         assert not registry.has_global()
+
+    @pytest.mark.parametrize(
+        "damage", list(ILL_TYPED_GLOBAL), ids=list(ILL_TYPED_GLOBAL)
+    )
+    def test_ill_typed_field_refused(self, global_model, registry, damage):
+        """A field of the wrong type is refused at load: it must neither
+        serve a different model nor fail every request later."""
+        model, _ = global_model
+        registry.save_global(model)
+        data = json.loads(registry.global_path.read_text())
+        ILL_TYPED_GLOBAL[damage](data)
+        registry.global_path.write_text(json.dumps(data))
+        with pytest.raises(RegistryError, match="malformed"):
+            registry.load_global()
 
     def test_site_loader_rejects_global_artifact(self, global_model, registry):
         """Feeding the global payload through the site loader fails the

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from annotation_goldens import global_fixture, global_model_digest, goldens
+from reference_chain import reference_global_probabilities, reference_train_global
 from repro import obs
 from repro.core.config import CeresConfig
 from repro.core.pipeline import CeresPipeline
@@ -326,6 +327,27 @@ class TestGlobalTraining:
         pools, predicates, _, config = global_fixture()
         model = train_global(pools, predicates, config)
         assert global_model_digest(model) == goldens()["global-model"]
+
+    def test_global_model_matches_reference_chain(self):
+        """Trained through the tag-only walker and name rows, the global
+        model equals one trained through per-node dicts (filtered to
+        ``xfer:``), dict vectorization and the textbook fit: vocabulary,
+        coefficients and zero-shot probabilities, bit for bit."""
+        pools, predicates, held_out, config = global_fixture()
+        model = train_global(pools, predicates, config)
+        reference = reference_train_global(pools, predicates, config)
+        assert model.vectorizer.vocabulary_ == reference.vectorizer.vocabulary_
+        assert list(model.classifier.classes_) == list(reference.classifier.classes_)
+        assert model.classifier.coef_.tobytes() == reference.classifier.coef_.tobytes()
+        assert (
+            model.classifier.intercept_.tobytes()
+            == reference.classifier.intercept_.tobytes()
+        )
+        for (_, probabilities), document in zip(model.score_pages(held_out), held_out):
+            expected = reference_global_probabilities(reference, document)
+            assert probabilities.shape == expected.shape
+            assert probabilities.tobytes() == expected.tobytes()
+        assert model.extract(held_out)  # non-degenerate
 
     def test_fit_refuses_samples_of_other_predicates(self, swde):
         """Predicate names parameterize the overlap features, so samples
