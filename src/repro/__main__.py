@@ -247,8 +247,12 @@ def _config(args) -> CeresConfig:
             if value < 1:
                 raise SystemExit(f"--{dest.replace('_', '-')} must be >= 1")
             overrides[dest] = value
-    if getattr(args, "threshold", None) is not None:
-        overrides["confidence_threshold"] = args.threshold
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None:
+        # The registry refuses a model whose threshold lies outside [0, 1].
+        if not 0 <= threshold <= 1:
+            raise SystemExit("--threshold must be within [0, 1]")
+        overrides["confidence_threshold"] = threshold
     if getattr(args, "no_template_clustering", False):
         overrides["use_template_clustering"] = False
     return CeresConfig(**overrides)

@@ -32,17 +32,61 @@ single float operation, so its coefficients are bit-identical to those
     skipping the per-evaluation ``ScalarFunction`` wrapper cost.  If the
     private interface is unavailable or mismatched, the solve falls back
     to ``scipy.optimize.minimize`` transparently.
+
+Every CLI process imports this module at start-up (through
+``repro.core``), and the solver needs one function of one extension
+module, ``scipy.optimize._lbfgsb``.  Importing it as a submodule would
+first run ``scipy.optimize``'s package init, which imports linprog and
+HiGHS, ``scipy.linalg``, ``scipy.special``, ``scipy.spatial``,
+``scipy.fft`` and ``scipy.constants``: ~250 modules, ~0.2 s and ~25 MiB
+per process.  So :func:`_load_lbfgsb` finds the extension file in
+scipy's ``optimize`` directory and loads it alone, under its canonical
+name and registered in ``sys.modules``, so that a later ``import
+scipy.optimize`` (the ``minimize`` fallback, or the caller's own)
+shares the module instead of loading a second copy.  If the file is not
+where the lookup expects it, the module comes from ``from
+scipy.optimize import _lbfgsb`` as before: fits stay identical and only
+the start-up cost returns, which ``tests/test_ml_logistic.py`` reports
+as a failure.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-import scipy.optimize
+import scipy
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+_LBFGSB_NAME = "scipy.optimize._lbfgsb"
+
+
+def _load_lbfgsb():
+    """The ``_lbfgsb`` extension without ``scipy.optimize``'s package
+    init (see the module docstring); a module already in ``sys.modules``
+    is reused."""
+    module = sys.modules.get(_LBFGSB_NAME)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            _LBFGSB_NAME, [os.path.join(path, "optimize") for path in scipy.__path__]
+        )
+        if spec is None:
+            raise ImportError(f"{_LBFGSB_NAME} not found in scipy's optimize directory")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_LBFGSB_NAME] = module
+    return module
+
+
 try:  # pragma: no cover - exercised implicitly on import
-    from scipy.optimize import _lbfgsb as _lbfgsb_module
+    try:
+        _lbfgsb_module = _load_lbfgsb()
+    except Exception:  # the extension moved: let scipy.optimize find it
+        from scipy.optimize import _lbfgsb as _lbfgsb_module
 
     # The driver replicates the scipy >= 1.15 C-translated interface
     # (int32 task codes, trailing ln_task).  Older interfaces fall back.
@@ -286,6 +330,10 @@ def _minimize_lbfgsb(objective, n: int, maxiter: int, pgtol: float) -> np.ndarra
             return _setulb_loop(objective, n, maxiter, pgtol)
         except TypeError:  # pragma: no cover - future setulb signature drift
             pass
+    # Imported here, not at module level: the package init costs every
+    # process ~0.2 s and ~25 MiB, and only this fallback needs it.
+    import scipy.optimize  # pragma: no cover - fallback path
+
     result = scipy.optimize.minimize(  # pragma: no cover - fallback path
         objective,
         np.zeros(n),

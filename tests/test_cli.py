@@ -131,6 +131,17 @@ class TestTrainServeCommands:
               "--threshold", "0.99", "--output", str(high)])
         assert len(high.read_text().splitlines()) <= len(low.read_text().splitlines())
 
+    @pytest.mark.parametrize("value", ["7", "-0.5", "nan"])
+    def test_threshold_outside_unit_interval_is_a_usage_error(
+        self, site_on_disk, tmp_path, value
+    ):
+        """The registry would refuse the model such a threshold trains."""
+        _, kb_path, pages_dir = site_on_disk
+        with pytest.raises(SystemExit, match=r"--threshold must be within \[0, 1\]"):
+            main(["train", "--kb", str(kb_path), "--pages", str(pages_dir),
+                  "--registry", str(tmp_path), "--threshold", value])
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def corpus_on_disk(tmp_path_factory):

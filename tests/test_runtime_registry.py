@@ -1,5 +1,6 @@
 """Registry round-trips: save → load → extract must be exact."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.runtime import (
     site_model_from_dict,
     site_model_to_dict,
 )
+from repro.runtime.serialize import _CONFIG_DOMAINS, config_from_dict, config_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,21 @@ def _repeat_name(data):
     names.append(names[0])
 
 
+#: Config values outside their field's domain: the first failed every
+#: zero-shot request with an IndexError, the other two served 0 rows.
+OUT_OF_DOMAIN = {
+    "ancestor-levels-negative": lambda data: data["config"].update(
+        struct_ancestor_levels=-3
+    ),
+    "threshold-above-one": lambda data: data["config"].update(
+        confidence_threshold=7.0
+    ),
+    "sibling-width-negative": lambda data: data["config"].update(
+        struct_sibling_width=-1
+    ),
+}
+
+
 #: Damages to a site artifact, each of which must fail its load.
 DAMAGES = {
     "classifier-missing": lambda data: _model(data).pop("classifier"),
@@ -73,11 +90,13 @@ DAMAGES = {
     "config-int-field-bool": lambda data: data["config"].update(
         min_cluster_size=True
     ),
+    **OUT_OF_DOMAIN,
 }
 
 
-#: Ill-typed fields of a global artifact, each of which must fail its load.
-ILL_TYPED_GLOBAL = {
+#: Ill-typed or out-of-domain fields of a global artifact, each of which
+#: must fail its load.
+GLOBAL_DAMAGES = {
     "predicates-string": lambda data: data.update(predicates="genre"),
     "predicates-ints": lambda data: data.update(predicates=[1, 2]),
     "int-field-string": lambda data: data["config"].update(
@@ -90,6 +109,7 @@ ILL_TYPED_GLOBAL = {
     "tuple-field-string": lambda data: data["config"].update(
         struct_attributes="class"
     ),
+    **OUT_OF_DOMAIN,
 }
 
 
@@ -324,15 +344,16 @@ class TestGlobalArtifact:
         assert not registry.has_global()
 
     @pytest.mark.parametrize(
-        "damage", list(ILL_TYPED_GLOBAL), ids=list(ILL_TYPED_GLOBAL)
+        "damage", list(GLOBAL_DAMAGES), ids=list(GLOBAL_DAMAGES)
     )
     def test_ill_typed_field_refused(self, global_model, registry, damage):
-        """A field of the wrong type is refused at load: it must neither
-        serve a different model nor fail every request later."""
+        """A field of the wrong type, or outside its domain, is refused at
+        load: it must neither serve a different model (or none) nor fail
+        every request later."""
         model, _ = global_model
         registry.save_global(model)
         data = json.loads(registry.global_path.read_text())
-        ILL_TYPED_GLOBAL[damage](data)
+        GLOBAL_DAMAGES[damage](data)
         registry.global_path.write_text(json.dumps(data))
         with pytest.raises(RegistryError, match="malformed"):
             registry.load_global()
@@ -405,6 +426,18 @@ class TestRegistryErrors:
         path.write_text(json.dumps(data))
         with pytest.raises(RegistryError, match="malformed"):
             registry.load(site)
+
+    def test_every_numeric_config_field_has_a_domain(self):
+        """A numeric CeresConfig field added later must state its domain,
+        and the defaults must lie within theirs."""
+        defaults = CeresConfig()
+        numeric = {
+            field.name
+            for field in dataclasses.fields(CeresConfig)
+            if type(getattr(defaults, field.name)) in (int, float)
+        }
+        assert set(_CONFIG_DOMAINS) == numeric - {"random_seed"}
+        assert config_from_dict(config_to_dict(defaults)) == defaults
 
     def test_non_object_artifact(self, registry):
         path = registry.path_for("weird")
