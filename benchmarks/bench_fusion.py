@@ -12,14 +12,17 @@ Two claims are gated:
   re-ranks the fact set so that precision at equal yield is >= the
   unfused best-single-confidence ranking.
 
+Tier-1 runs the determinism and precision gates on a 20-site stream of
+30K rows and a 3-site fixture; the RSS gate needs the full stream,
+since a small stream's drift is allocator noise, not the store.
+
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_fusion.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_fusion.py
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import hashlib
 import random
@@ -254,39 +257,32 @@ def format_report(streaming: dict, precision: dict) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small stream + small fixture (CI smoke; same gates except RSS)",
-    )
-    args = parser.parse_args()
-    if args.quick:
-        streaming = run_streaming(n_sites=20, rows_per_site=1500, n_facts=6000)
-        precision = run_precision(n_sites=3, pages_per_site=12)
-    else:
-        streaming = run_streaming(n_sites=24, rows_per_site=20000, n_facts=60000)
-        precision = run_precision(n_sites=5, pages_per_site=24)
-
-    report_metrics("fusion", streaming.pop("obs_snapshot"), quick=args.quick)
-    report("fusion", format_report(streaming, precision), quick=args.quick)
-
-    failures = []
-    drift = streaming["rss_drift"]
-    # Quick mode keeps RSS informational: a tiny stream's drift is
-    # dominated by allocator noise, not the store.
-    if not args.quick and drift is not None and drift >= MAX_DRIFT:
-        failures.append(f"RSS drift {drift:.1%} exceeds {MAX_DRIFT:.0%}")
+def correctness_failures(precision: dict) -> list[str]:
+    """The gate every run checks: fusion does not lower precision at
+    equal yield (determinism is checked inside :func:`run_streaming`)."""
     equal = precision["equal_yield"]
     if (
         equal["fused"] is not None
         and equal["unfused"] is not None
         and equal["fused"] < equal["unfused"]
     ):
-        failures.append(
+        return [
             f"fused precision {equal['fused']:.3f} fell below "
             f"unfused {equal['unfused']:.3f} at equal yield"
-        )
+        ]
+    return []
+
+
+def main() -> int:
+    streaming = run_streaming(n_sites=24, rows_per_site=20000, n_facts=60000)
+    precision = run_precision(n_sites=5, pages_per_site=24)
+    report_metrics("fusion", streaming.pop("obs_snapshot"))
+    report("fusion", format_report(streaming, precision))
+
+    failures = correctness_failures(precision)
+    drift = streaming["rss_drift"]
+    if drift is not None and drift >= MAX_DRIFT:
+        failures.append(f"RSS drift {drift:.1%} exceeds {MAX_DRIFT:.0%}")
     for failure in failures:
         print(f"ERROR: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -9,8 +9,7 @@ Two scenarios, both gated:
    and fused-fact JSONL are **byte-identical** to an uninterrupted
    baseline, and at least one completed site was skipped (resumed from
    the journal rather than recomputed).  Recovery overhead — resumed-run
-   wall clock over baseline wall clock — is gated in full mode and
-   informational in ``--quick`` (CI hardware jitter).
+   wall clock over baseline wall clock — is gated too.
 
 2. **Chaos plan** — ``run_corpus`` in-process under an injected fault
    plan (one site fails transiently once, one other site has a poison
@@ -18,14 +17,16 @@ Two scenarios, both gated:
    (``runner.retries``), the poison page quarantined and reported
    (``runner.quarantined``, ``SiteReport.n_quarantined_pages``).
 
+Tier-1 runs every gate but the recovery ratio, a timing, on 3 sites x
+10 pages.
+
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_resilience.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_resilience.py
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
@@ -48,7 +49,7 @@ from repro.obs import MetricsRegistry  # noqa: E402
 from repro.runtime import run_corpus  # noqa: E402
 from repro.testing.faults import FaultPlan, FaultSpec, active  # noqa: E402
 
-#: Resumed-run wall clock over baseline wall clock (full mode gate): the
+#: Resumed-run wall clock over baseline wall clock (gate): the
 #: resume skips at least one site, so even with process startup on top
 #: it must not cost more than the uninterrupted run plus slack.
 MAX_RECOVERY_RATIO = 1.25
@@ -226,19 +227,10 @@ def run_chaos(root: Path, n_sites: int, pages_per_site: int,
     }
 
 
-def format_table(kr: dict, chaos: dict, quick: bool) -> str:
+def format_table(kr: dict, chaos: dict) -> str:
     def verdict(ok: bool) -> str:
         return "MET" if ok else "MISSED"
 
-    ratio_line = (
-        f"  recovery ratio (resume/baseline) {kr['recovery_ratio']:6.2f}   "
-        + (
-            "(informational in --quick)"
-            if quick
-            else f"(gate <= {MAX_RECOVERY_RATIO:.2f}: "
-            f"{verdict(kr['recovery_ratio'] <= MAX_RECOVERY_RATIO)})"
-        )
-    )
     lines = [
         "Resilience: SIGKILL + resume equivalence, chaos recovery",
         f"  corpus                 {kr['n_sites']} sites",
@@ -251,7 +243,9 @@ def format_table(kr: dict, chaos: dict, quick: bool) -> str:
         f"(gate: {verdict(kr['facts_equal'])})",
         f"  baseline wall clock    {kr['baseline_seconds']:8.2f}s",
         f"  resume wall clock      {kr['resume_seconds']:8.2f}s",
-        ratio_line,
+        f"  recovery ratio (resume/baseline) {kr['recovery_ratio']:6.2f}   "
+        f"(gate <= {MAX_RECOVERY_RATIO:.2f}: "
+        f"{verdict(kr['recovery_ratio'] <= MAX_RECOVERY_RATIO)})",
         "  chaos plan: 1 transient site failure + 1 poison page",
         f"  sites ok               {chaos['sites_ok']}/{chaos['n_sites']}   "
         f"(gate: zero lost: {verdict(chaos['sites_ok'] == chaos['n_sites'])})",
@@ -264,25 +258,8 @@ def format_table(kr: dict, chaos: dict, quick: bool) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small corpus; equivalence gates stay hard, timing gates "
-        "become informational (CI smoke)",
-    )
-    args = parser.parse_args()
-    n_sites, pages = (3, 10) if args.quick else (6, 16)
-
-    bench = MetricsRegistry()
-    with tempfile.TemporaryDirectory(prefix="bench_resilience_") as tmp:
-        root = Path(tmp)
-        kr = run_kill_resume(root, n_sites, pages, bench)
-        chaos = run_chaos(root, n_sites, pages, bench)
-
-    report("resilience", format_table(kr, chaos, args.quick), quick=args.quick)
-    report_metrics("resilience", bench.snapshot(), quick=args.quick)
-
+def correctness_failures(kr: dict, chaos: dict) -> list[str]:
+    """The gates of the kill + resume and chaos scenarios."""
     failures = []
     if not kr["rows_equal"]:
         failures.append("resumed extraction JSONL diverged from baseline")
@@ -290,17 +267,32 @@ def main() -> int:
         failures.append("resumed fused JSONL diverged from baseline")
     if kr["resumed_sites"] < 1:
         failures.append("resume recomputed every site (journal unused)")
-    if not args.quick and kr["recovery_ratio"] > MAX_RECOVERY_RATIO:
-        failures.append(
-            f"recovery ratio {kr['recovery_ratio']:.2f} exceeds "
-            f"{MAX_RECOVERY_RATIO:.2f}"
-        )
     if chaos["sites_ok"] != chaos["n_sites"]:
         failures.append("chaos run lost a site")
     if chaos["retries"] < 1:
         failures.append("transient failure was not retried")
     if chaos["quarantined"] != 1 or chaos["poisoned_quarantined_pages"] != 1:
         failures.append("poison page was not quarantined/reported")
+    return failures
+
+
+def main() -> int:
+    n_sites, pages = 6, 16
+    bench = MetricsRegistry()
+    with tempfile.TemporaryDirectory(prefix="bench_resilience_") as tmp:
+        root = Path(tmp)
+        kr = run_kill_resume(root, n_sites, pages, bench)
+        chaos = run_chaos(root, n_sites, pages, bench)
+
+    report("resilience", format_table(kr, chaos))
+    report_metrics("resilience", bench.snapshot())
+
+    failures = correctness_failures(kr, chaos)
+    if kr["recovery_ratio"] > MAX_RECOVERY_RATIO:
+        failures.append(
+            f"recovery ratio {kr['recovery_ratio']:.2f} exceeds "
+            f"{MAX_RECOVERY_RATIO:.2f}"
+        )
     for failure in failures:
         print(f"ERROR: {failure}", file=sys.stderr)
     return 1 if failures else 0

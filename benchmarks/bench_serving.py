@@ -15,18 +15,19 @@ Three scenarios against a real in-process :class:`ServingServer`
    client-side count (the shed path is observable, not silent).
 
 3. **Observability tax** — the steady scenario re-run with metrics on
-   vs. off, interleaved best-of-N.  Gate (full mode): enabled keeps at
-   least ``OBS_MIN_RATIO`` of disabled throughput; informational in
-   ``--quick`` (CI hardware jitter).
+   vs. off, interleaved best-of-N.  Gate: enabled keeps at least
+   ``OBS_MIN_RATIO`` of disabled throughput.
+
+Tier-1 runs the first two scenarios and their gates on 24 pages with 4
+clients x 6 requests; the tax is a timing, which tier-1 does not gate.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_serving.py
 """
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
 import sys
@@ -253,19 +254,10 @@ def run_obs_tax(world: dict, n_clients: int, per_client: int,
     }
 
 
-def format_table(steady: dict, burst: dict, tax: dict, quick: bool) -> str:
+def format_table(steady: dict, burst: dict, tax: dict) -> str:
     def verdict(ok: bool) -> str:
         return "MET" if ok else "MISSED"
 
-    tax_line = (
-        f"  obs enabled/disabled   {tax['obs_ratio']:8.3f}    "
-        + (
-            "(informational in --quick)"
-            if quick
-            else f"(gate >= {OBS_MIN_RATIO:.2f}: "
-            f"{verdict(tax['obs_ratio'] >= OBS_MIN_RATIO)})"
-        )
-    )
     lines = [
         "Serving tier: latency, shedding, observability tax",
         f"  steady load            {steady['requests']} requests   "
@@ -285,31 +277,15 @@ def format_table(steady: dict, burst: dict, tax: dict, quick: bool) -> str:
         f"{verdict(burst['counter_agrees'])}",
         f"  obs disabled           {tax['obs_disabled_rps']:8.1f} req/s",
         f"  obs enabled            {tax['obs_enabled_rps']:8.1f} req/s",
-        tax_line,
+        f"  obs enabled/disabled   {tax['obs_ratio']:8.3f}    "
+        f"(gate >= {OBS_MIN_RATIO:.2f}: "
+        f"{verdict(tax['obs_ratio'] >= OBS_MIN_RATIO)})",
     ]
     return "\n".join(lines)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small load; correctness gates stay hard, the obs-overhead "
-        "gate becomes informational (CI smoke)",
-    )
-    args = parser.parse_args()
-    n_pages = 24 if args.quick else 48
-    n_clients, per_client = (4, 6) if args.quick else (8, 12)
-
-    bench = MetricsRegistry()
-    world = build_world(n_pages)
-    steady = run_steady(world, n_clients, per_client, bench)
-    burst = run_burst(world, bench)
-    tax = run_obs_tax(world, n_clients, per_client, bench)
-
-    report("serving", format_table(steady, burst, tax, args.quick), quick=args.quick)
-    report_metrics("serving", bench.snapshot(), quick=args.quick)
-
+def correctness_failures(steady: dict, burst: dict) -> list[str]:
+    """The gates of the steady and burst scenarios."""
     failures = []
     if not steady["all_200"]:
         failures.append("steady load saw a non-200 response")
@@ -319,7 +295,22 @@ def main() -> int:
         failures.append("overload burst was never shed (backpressure dead)")
     if not burst["counter_agrees"]:
         failures.append("serving.shed counter disagrees with client 429s")
-    if not args.quick and tax["obs_ratio"] < OBS_MIN_RATIO:
+    return failures
+
+
+def main() -> int:
+    n_pages, n_clients, per_client = 48, 8, 12
+    bench = MetricsRegistry()
+    world = build_world(n_pages)
+    steady = run_steady(world, n_clients, per_client, bench)
+    burst = run_burst(world, bench)
+    tax = run_obs_tax(world, n_clients, per_client, bench)
+
+    report("serving", format_table(steady, burst, tax))
+    report_metrics("serving", bench.snapshot())
+
+    failures = correctness_failures(steady, burst)
+    if tax["obs_ratio"] < OBS_MIN_RATIO:
         failures.append(
             f"obs overhead ratio {tax['obs_ratio']:.3f} below "
             f"{OBS_MIN_RATIO:.2f}"

@@ -16,13 +16,13 @@ Three questions, one synthetic SWDE vertical:
    the site: pages/sec through the global-model fast path, timed via
    ``MetricsRegistry.timer`` (never a bare perf-counter).
 
-Quick mode gates on correctness (zero-shot yield > 0, every extraction
-tagged ``model="transfer"``, precision above a floor); latency numbers
-are informational on CI hardware.
+The gates check correctness (zero-shot yield > 0, every extraction
+tagged ``model="transfer"``, LOSO precision above a floor); latency
+numbers are informational.  Tier-1 runs them on 4 sites x 12 pages.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_transfer.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_transfer.py
 """
 
 from __future__ import annotations
@@ -47,19 +47,18 @@ from repro.obs import MetricsRegistry  # noqa: E402
 from repro.runtime import ExtractionService, ModelRegistry, SiteModel  # noqa: E402
 from repro.transfer import collect_site_examples, train_global  # noqa: E402
 
-#: (n_sites, pages_per_site) per mode — quick keeps CI under a minute.
-QUICK_SHAPE = (4, 12)
-FULL_SHAPE = (6, 24)
+#: (n_sites, pages_per_site) of the vertical.
+SHAPE = (6, 24)
 SEED = 7
 SERVE_ROUNDS = 3
-#: Zero-shot micro precision floor (quick gate): transfer must stay a
-#: high-precision extractor even with no page from the served site seen
-#: in training.
+#: Zero-shot micro precision floor: transfer must stay a high-precision
+#: extractor even with no page from the served site seen in training.
 MIN_PRECISION = 0.75
 
 
-def run_benchmark(quick: bool, registry_root: str | Path) -> dict:
-    n_sites, pages_per_site = QUICK_SHAPE if quick else FULL_SHAPE
+def run_benchmark(
+    n_sites: int, pages_per_site: int, registry_root: str | Path
+) -> dict:
     dataset = generate_swde(
         "movie", n_sites=n_sites, pages_per_site=pages_per_site, seed=SEED
     )
@@ -161,28 +160,32 @@ def format_summary(stats: dict) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    quick = "--quick" in sys.argv
-    stats = run_benchmark(quick, "/tmp/repro_bench_transfer_registry")
-    snapshot = stats.pop("obs_snapshot")
-    report("transfer", format_summary(stats), quick=quick)
-    report_metrics("transfer", snapshot, quick=quick)
+def correctness_failures(stats: dict) -> list[str]:
+    """The gates every run checks."""
+    failures = []
     if not stats["all_tagged_transfer"]:
-        print(
-            "ERROR: zero-shot extraction yield is empty or rows are not "
-            "tagged model='transfer'",
-            file=sys.stderr,
+        failures.append(
+            "zero-shot extraction yield is empty or rows are not "
+            "tagged model='transfer'"
         )
-        return 1
-    if _ratio(stats["loso_correct"], stats["loso_total"]) < MIN_PRECISION:
-        print(
-            f"ERROR: LOSO micro precision "
-            f"{_ratio(stats['loso_correct'], stats['loso_total']):.3f} "
-            f"below gate {MIN_PRECISION:.2f}",
-            file=sys.stderr,
+    loso_precision = _ratio(stats["loso_correct"], stats["loso_total"])
+    if loso_precision < MIN_PRECISION:
+        failures.append(
+            f"LOSO micro precision {loso_precision:.3f} "
+            f"below gate {MIN_PRECISION:.2f}"
         )
-        return 1
-    return 0
+    return failures
+
+
+def main() -> int:
+    stats = run_benchmark(*SHAPE, "/tmp/repro_bench_transfer_registry")
+    snapshot = stats.pop("obs_snapshot")
+    report("transfer", format_summary(stats))
+    report_metrics("transfer", snapshot)
+    failures = correctness_failures(stats)
+    for failure in failures:
+        print(f"ERROR: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

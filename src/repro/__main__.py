@@ -87,7 +87,7 @@ for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREAD
     os.environ.setdefault(_blas_threads, "1")
 
 from repro import obs
-from repro.core.config import CeresConfig
+from repro.core.config import CeresConfig, outside_domain
 from repro.core.pipeline import CeresPipeline
 from repro.kb.io import load_kb
 
@@ -239,20 +239,22 @@ def _write_obs(args) -> None:
 
 def _config(args) -> CeresConfig:
     """The CeresConfig a command's flags select; a flag the command lacks
-    or leaves unset keeps the dataclass default."""
+    or leaves unset keeps the dataclass default.  A value outside its
+    field's domain is a usage error: the registry would refuse the model
+    it trains."""
     overrides = {}
-    for dest in ("min_predicate_pages", "max_resident_sites"):
+    for dest, name in (
+        ("min_predicate_pages", "min_predicate_pages"),
+        ("max_resident_sites", "max_resident_sites"),
+        ("threshold", "confidence_threshold"),
+    ):
         value = getattr(args, dest, None)
-        if value is not None:
-            if value < 1:
-                raise SystemExit(f"--{dest.replace('_', '-')} must be >= 1")
-            overrides[dest] = value
-    threshold = getattr(args, "threshold", None)
-    if threshold is not None:
-        # The registry refuses a model whose threshold lies outside [0, 1].
-        if not 0 <= threshold <= 1:
-            raise SystemExit("--threshold must be within [0, 1]")
-        overrides["confidence_threshold"] = threshold
+        if value is None:
+            continue
+        domain = outside_domain(name, value)
+        if domain is not None:
+            raise SystemExit(f"--{dest.replace('_', '-')} must be {domain}")
+        overrides[name] = value
     if getattr(args, "no_template_clustering", False):
         overrides["use_template_clustering"] = False
     return CeresConfig(**overrides)

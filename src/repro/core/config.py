@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CeresConfig"]
+__all__ = ["CONFIG_DOMAINS", "CeresConfig", "outside_domain"]
 
 
 @dataclass
@@ -126,3 +126,51 @@ class CeresConfig:
         import dataclasses
 
         return dataclasses.replace(self, **overrides)
+
+
+_UNIT = ("within [0, 1]", lambda value: 0 <= value <= 1)
+_NON_NEGATIVE = (">= 0", lambda value: value >= 0)
+_AT_LEAST_ONE = (">= 1", lambda value: value >= 1)
+
+#: Each numeric field's domain, from its comment above: fractions,
+#: similarity and confidence thresholds lie in [0, 1]; counts, levels,
+#: widths, heights and lengths are >= 0; C is positive; the iteration
+#: budget, the page floor and the cache, residency and parse caps are
+#: >= 1 (``LRUCache`` refuses a capacity of 0, and a page floor of 0
+#: selects what 1 does).  ``random_seed`` takes any int.  Registry loads,
+#: the CLI's flags and ``ServingConfig``'s parse caps all check this table.
+CONFIG_DOMAINS = {
+    "stoplist_fraction": _UNIT,
+    "stoplist_min_count": _NON_NEGATIVE,
+    "max_pages_per_topic": _NON_NEGATIVE,
+    "min_annotations_per_page": _NON_NEGATIVE,
+    "over_represented_object_fraction": _UNIT,
+    "duplicated_predicate_fraction": _UNIT,
+    "min_predicate_pages": _AT_LEAST_ONE,
+    "max_cluster_items": _NON_NEGATIVE,
+    "negatives_per_positive": _NON_NEGATIVE,
+    "struct_ancestor_levels": _NON_NEGATIVE,
+    "struct_sibling_width": _NON_NEGATIVE,
+    "frequent_string_min_fraction": _UNIT,
+    "max_frequent_strings": _NON_NEGATIVE,
+    "max_frequent_string_length": _NON_NEGATIVE,
+    "text_feature_height": _NON_NEGATIVE,
+    "classifier_C": ("> 0", lambda value: value > 0),
+    "classifier_max_iter": _AT_LEAST_ONE,
+    "confidence_threshold": _UNIT,
+    "page_match_cache_size": _AT_LEAST_ONE,
+    "max_resident_sites": _AT_LEAST_ONE,
+    "max_parse_depth": _AT_LEAST_ONE,
+    "max_parse_nodes": _AT_LEAST_ONE,
+    "template_similarity_threshold": _UNIT,
+    "min_cluster_size": _NON_NEGATIVE,
+}
+
+
+def outside_domain(name: str, value) -> str | None:
+    """``name``'s domain as text (``">= 1"``) when ``value`` lies outside
+    it, else None (also for a field that takes any value)."""
+    if name not in CONFIG_DOMAINS:
+        return None
+    domain, within = CONFIG_DOMAINS[name]
+    return None if within(value) else domain

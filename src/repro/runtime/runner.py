@@ -261,52 +261,38 @@ def discover_corpus(corpus: str | Path) -> list[SiteSpec]:
     raise FileNotFoundError(f"corpus path does not exist: {path}")
 
 
-def load_site_documents(pages_dir: str | Path) -> list[Document]:
+def load_site_documents(
+    pages_dir: str | Path,
+    site: str | None = None,
+    *,
+    quarantined: list[str] | None = None,
+    page_timeout: float | None = None,
+) -> list[Document]:
     """Parse every HTML page of one site (``.html``/``.htm``, any case),
-    sorted by file name."""
+    sorted by file name, inside one ``stage.parse`` region.
+
+    The runner's site attempt names its ``site``, which arms the
+    ``page.parse`` fault point for each page.  Its degraded retry also
+    passes a ``quarantined`` list, which turns on **isolation**: each
+    page loads inside its own try/except and its own ``page_timeout``
+    budget, and a page that raises is appended to the list by name
+    instead of sinking the whole site.
+    """
     paths = _page_files(Path(pages_dir))
     if not paths:
         raise FileNotFoundError(f"no .html/.htm files found in {pages_dir!r}")
-    with _parse_stage(paths):
-        return [
-            parse_html(
-                page.read_text(encoding="utf-8", errors="replace"), url=page.name
-            )
-            for page in paths
-        ]
-
-
-def _parse_stage(paths: list[Path]):
-    """The ``stage.parse`` region over one site's page files; the files'
-    bytes are only summed when a tracer records them."""
+    isolate = quarantined is not None
+    # The files' bytes are only summed when a tracer records them.
     n_bytes = (
         sum(path.stat().st_size for path in paths) if obs.tracing_enabled() else None
     )
-    return obs.stage("stage.parse", pages=len(paths), bytes=n_bytes)
-
-
-def _load_documents(
-    pages_dir: str,
-    site: str,
-    *,
-    isolate: bool = False,
-    page_timeout: float | None = None,
-) -> tuple[list[Document], list[str]]:
-    """The runner's page loader: like :func:`load_site_documents` but
-    with per-page fault injection points and an optional **isolation
-    mode** for the degraded retry — each page loads inside its own
-    try/except (and its own wall-clock budget), and a page that raises
-    is quarantined by name instead of sinking the whole site."""
-    paths = _page_files(Path(pages_dir))
-    if not paths:
-        raise FileNotFoundError(f"no .html/.htm files found in {pages_dir!r}")
     documents: list[Document] = []
-    quarantined: list[str] = []
-    with _parse_stage(paths):
+    with obs.stage("stage.parse", pages=len(paths), bytes=n_bytes):
         for path in paths:
             try:
                 with resilience.deadline(page_timeout if isolate else None):
-                    fault_point("page.parse", site=site, page=path.name)
+                    if site is not None:
+                        fault_point("page.parse", site=site, page=path.name)
                     documents.append(
                         parse_html(
                             path.read_text(encoding="utf-8", errors="replace"),
@@ -321,7 +307,7 @@ def _load_documents(
         raise RuntimeError(
             f"all {len(paths)} page(s) of {pages_dir!r} were quarantined"
         )
-    return documents, quarantined
+    return documents
 
 
 def extraction_row(extraction, page_url: str, site: str | None = None) -> dict:
@@ -437,8 +423,11 @@ def _attempt_site(
     kb = _memoized_kb(kb_path)
     report.n_quarantined_pages = 0
     report.quarantined_pages = []
-    documents, quarantined = _load_documents(
-        pages_dir, site, isolate=isolate_pages, page_timeout=site_timeout
+    quarantined: list[str] = []
+    documents = load_site_documents(
+        pages_dir, site,
+        quarantined=quarantined if isolate_pages else None,
+        page_timeout=site_timeout,
     )
     report.quarantined_pages = quarantined
     report.n_quarantined_pages = len(quarantined)

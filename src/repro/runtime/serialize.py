@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import CeresConfig
+from repro.core.config import CeresConfig, outside_domain
 from repro.core.extraction.features import NodeFeatureExtractor
 from repro.core.extraction.trainer import CeresModel
 from repro.ml.features import (
@@ -129,43 +129,6 @@ def config_to_dict(config: CeresConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-_UNIT = ("within [0, 1]", lambda value: 0 <= value <= 1)
-_NON_NEGATIVE = (">= 0", lambda value: value >= 0)
-_AT_LEAST_ONE = (">= 1", lambda value: value >= 1)
-
-#: Each numeric field's domain, from its comment in CeresConfig:
-#: fractions, similarity and confidence thresholds lie in [0, 1]; counts,
-#: levels, widths, heights and lengths are >= 0; C is positive; the
-#: iteration budget and the cache, residency and parse caps are >= 1
-#: (``LRUCache`` refuses a capacity of 0).  ``random_seed`` takes any int.
-_CONFIG_DOMAINS = {
-    "stoplist_fraction": _UNIT,
-    "stoplist_min_count": _NON_NEGATIVE,
-    "max_pages_per_topic": _NON_NEGATIVE,
-    "min_annotations_per_page": _NON_NEGATIVE,
-    "over_represented_object_fraction": _UNIT,
-    "duplicated_predicate_fraction": _UNIT,
-    "min_predicate_pages": _NON_NEGATIVE,
-    "max_cluster_items": _NON_NEGATIVE,
-    "negatives_per_positive": _NON_NEGATIVE,
-    "struct_ancestor_levels": _NON_NEGATIVE,
-    "struct_sibling_width": _NON_NEGATIVE,
-    "frequent_string_min_fraction": _UNIT,
-    "max_frequent_strings": _NON_NEGATIVE,
-    "max_frequent_string_length": _NON_NEGATIVE,
-    "text_feature_height": _NON_NEGATIVE,
-    "classifier_C": ("> 0", lambda value: value > 0),
-    "classifier_max_iter": _AT_LEAST_ONE,
-    "confidence_threshold": _UNIT,
-    "page_match_cache_size": _AT_LEAST_ONE,
-    "max_resident_sites": _AT_LEAST_ONE,
-    "max_parse_depth": _AT_LEAST_ONE,
-    "max_parse_nodes": _AT_LEAST_ONE,
-    "template_similarity_threshold": _UNIT,
-    "min_cluster_size": _NON_NEGATIVE,
-}
-
-
 def config_from_dict(data: dict) -> CeresConfig:
     """Rebuild a config; unknown keys are ignored, missing keys default.
 
@@ -175,7 +138,7 @@ def config_from_dict(data: dict) -> CeresConfig:
     (``struct_attributes``, restored as a tuple so the round-tripped
     config compares equal to the original).  Raises ``TypeError``
     otherwise, and ``ValueError`` for a number outside its field's
-    domain (``_CONFIG_DOMAINS``), so a damaged artifact is refused at
+    domain (``CONFIG_DOMAINS``), so a damaged artifact is refused at
     load instead of failing, or silently emptying, every request that
     scores with it.
     """
@@ -200,10 +163,9 @@ def config_from_dict(data: dict) -> CeresConfig:
             value = tuple(value) if valid else value
         if not valid:
             raise TypeError(f"config.{field.name} must be {kind}, not {value!r}")
-        if field.name in _CONFIG_DOMAINS:
-            domain, within = _CONFIG_DOMAINS[field.name]
-            if not within(value):
-                raise ValueError(f"config.{field.name} must be {domain}, not {value!r}")
+        domain = outside_domain(field.name, value)
+        if domain is not None:
+            raise ValueError(f"config.{field.name} must be {domain}, not {value!r}")
         overrides[field.name] = value
     return CeresConfig(**overrides)
 

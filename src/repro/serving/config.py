@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from threading import TIMEOUT_MAX
 
+from repro.core.config import outside_domain
+
 __all__ = ["ServingConfig"]
 
 
@@ -77,7 +79,7 @@ class ServingConfig:
     #: before force-answering what remains with 503 and exiting anyway.
     drain_timeout: float = 30.0
 
-    # --- hostile-input parse caps (>= 1; None → CeresConfig defaults) ---
+    # --- hostile-input parse caps (CeresConfig's domains; None → its defaults) ---
     max_parse_depth: int | None = None
     max_parse_nodes: int | None = None
 
@@ -113,5 +115,6 @@ class ServingConfig:
             raise ValueError("drain_timeout must be > 0 seconds")
         for name in ("max_parse_depth", "max_parse_nodes"):
             cap = getattr(self, name)
-            if cap is not None and cap < 1:
-                raise ValueError(f"{name} must be >= 1")
+            domain = None if cap is None else outside_domain(name, cap)
+            if domain is not None:
+                raise ValueError(f"{name} must be {domain}")

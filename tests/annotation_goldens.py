@@ -9,7 +9,7 @@ All of these are strings and ints, so the digests hold on any numpy or
 scipy; the models' floats are compared at test time against
 ``reference_chain`` instead.  The fixtures are the SWDE and IMDb sets,
 the annotation hot-path benchmark's scaled SWDE and all-genres
-hazard fixtures at ``--quick`` size, the duplicated-mention and
+hazard fixtures (at the small sizes below), the duplicated-mention and
 ``min_predicate_pages`` sites, local evidence over seeded random
 mention sets (a digest of the chosen mentions' XPaths), and the
 cross-site global model's vocabulary (names and columns), classes and
@@ -45,7 +45,8 @@ from repro.transfer import collect_site_examples, train_global
 
 GOLDEN = Path(__file__).parent / "golden" / "annotation_digests.json"
 
-#: Fixture sizes of ``bench_annotation_hotpath.py --quick``.
+#: Page counts of the benchmark fixtures the goldens pin (the ``-quick``
+#: entries); ``bench_annotation_hotpath.py`` runs 600 and 150.
 SCALED_SWDE_QUICK_PAGES = 50
 HAZARD_QUICK_PAGES = 40
 

@@ -73,7 +73,8 @@ class TestEndToEndEquivalence:
 
     @pytest.mark.parametrize("fixture_id", ["scaled-swde-quick", "hazard-quick"])
     def test_benchmark_fixtures_match_goldens(self, fixture_id):
-        """The annotation hot-path benchmark's fixtures at --quick size."""
+        """The annotation hot-path benchmark's fixtures, at a tenth of its
+        scaled SWDE and a quarter of its hazard page counts."""
         assert_golden(fixture_id)
 
     def test_goldens_cover_every_fixture(self):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.config import CeresConfig
+from repro.core.config import CONFIG_DOMAINS, CeresConfig
 from repro.core.pipeline import CeresPipeline
 from repro.datasets import generate_swde, seed_kb_for
 from repro.runtime import (
@@ -17,7 +17,7 @@ from repro.runtime import (
     site_model_from_dict,
     site_model_to_dict,
 )
-from repro.runtime.serialize import _CONFIG_DOMAINS, config_from_dict, config_to_dict
+from repro.runtime.serialize import config_from_dict, config_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,10 @@ DAMAGES = {
     ),
     "config-int-field-bool": lambda data: data["config"].update(
         min_cluster_size=True
+    ),
+    # The CLI refuses --min-predicate-pages 0, so the registry does too.
+    "min-predicate-pages-zero": lambda data: data["config"].update(
+        min_predicate_pages=0
     ),
     **OUT_OF_DOMAIN,
 }
@@ -436,7 +440,7 @@ class TestRegistryErrors:
             for field in dataclasses.fields(CeresConfig)
             if type(getattr(defaults, field.name)) in (int, float)
         }
-        assert set(_CONFIG_DOMAINS) == numeric - {"random_seed"}
+        assert set(CONFIG_DOMAINS) == numeric - {"random_seed"}
         assert config_from_dict(config_to_dict(defaults)) == defaults
 
     def test_non_object_artifact(self, registry):
